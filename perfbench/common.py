@@ -40,6 +40,13 @@ def vm_hwm_mb(pid: int) -> float:
     return 0.0
 
 
+def cpu_jiffies() -> List[int]:
+    """Machine-wide CPU time so far, as ``[steal, total]`` clock ticks."""
+    with open("/proc/stat", encoding="ascii") as handle:
+        fields = [int(field) for field in handle.readline().split()[1:9]]
+    return [fields[7], sum(fields)]
+
+
 def forked_children(pid: int) -> List[int]:
     """Live children of ``pid`` running the same command line (its forks)."""
     def cmdline(p: int) -> bytes:

@@ -122,6 +122,7 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> Dict[str, Any]
         return {
             "attempted": attempted + more[0],
             "failed": failed + more[1],
+            "wrong_outputs": failed + more[1],
             "end_to_end": end_to_end(times, setup_times, rss),
         }
     return _traced(seed)
@@ -174,7 +175,12 @@ def _traced(seed: int) -> Dict[str, Any]:
         untraced,
         traced,
     )
-    return {"attempted": attempted + more[0], "failed": failed + more[1], "per_layer": layers}
+    return {
+        "attempted": attempted + more[0],
+        "failed": failed + more[1],
+        "wrong_outputs": failed + more[1],
+        "per_layer": layers,
+    }
 
 
 def _topology_counts(manager) -> Dict[str, int]:

@@ -103,8 +103,12 @@ def _span_metrics(
 
     metrics["trace.spans"] = sum(1 for span in spans if _in(window, span))
     metrics["trace.window_s"] = window[1] - window[0]
-    metrics["trace.accounted_s"] = sum(
-        entry["self_s"] for name, entry in totals.items() if not name.startswith("scenario.")
+    # A round trip's self time covers the worker's whole batch, whose spans
+    # live in another process and are summed on their own; only its transfer
+    # share is the front end's time.
+    metrics["trace.accounted_s"] = metrics["workers.transfer_s"] + sum(
+        entry["self_s"] for name, entry in totals.items()
+        if not name.startswith("scenario.") and name != "workers.roundtrip"
     )
     return metrics
 

@@ -13,8 +13,9 @@ Workloads (see BENCHMARK.json for why each was chosen):
 ``--trace 1`` runs a fixed amount of work twice, untraced and then with span
 wrappers installed, and reports the per-layer metrics plus the tracing
 overhead (traced minus untraced).  Every run checks its outputs; a wrong
-output counts as a failed operation.  Human-readable lines come first; the
-last line of standard output is the JSON result.
+output counts as a failed operation and makes ``success_rate`` 0, since the
+run's other results cannot be trusted either.  Human-readable lines come
+first; the last line of standard output is the JSON result.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from common import SRC  # noqa: E402
+from common import SRC, cpu_jiffies  # noqa: E402
 
 #: Every end-to-end metric with its unit, in the order printed.
 END_TO_END = [
@@ -57,18 +58,25 @@ def main() -> int:
         import drift as workload
     else:
         import serve as workload
+    before = cpu_jiffies()
     outcome = workload.run(args.workload, args.seed, args.seconds, bool(args.trace))
+    steal, total = (late - early for late, early in zip(cpu_jiffies(), before))
     attempted, failed = outcome["attempted"], outcome["failed"]
     if args.trace:
         metrics = outcome["per_layer"]
     else:
         values = dict(outcome["end_to_end"])
-        values["success_rate"] = (attempted - failed) / attempted
+        values["success_rate"] = (
+            0.0 if outcome["wrong_outputs"] else (attempted - failed) / attempted
+        )
         metrics = {name: {"value": values[name], "unit": unit} for name, unit in END_TO_END}
         print(f"{args.workload}: {outcome['end_to_end']['samples']} timed operations")
     for name, metric in metrics.items():
         print(f"{name:34s} {metric['value']:>16.6g} {metric['unit']}")
-    print(f"attempted {attempted}, failed {failed}")
+    print(f"attempted {attempted}, failed {failed}, wrong outputs {outcome['wrong_outputs']}")
+    # Time the hypervisor gave this VM's CPUs to others: the serving
+    # workloads slow down several-fold when it is high.
+    print(f"machine CPU steal share during the run: {steal / max(1, total):.3f}")
     print(json.dumps({
         "correct": failed == 0,
         "attempted": attempted,

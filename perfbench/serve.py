@@ -41,7 +41,7 @@ class Server:
     """A ``serve_main.py`` child process and its port."""
 
     def __init__(self, state_dir: Optional[str], trace_dir: Optional[str]) -> None:
-        command = [sys.executable, os.path.join(ROOT, "perfbench", "serve_main.py"), "--shards", "2"]
+        command = [sys.executable, os.path.join(ROOT, "perfbench", "serve_main.py")]
         if state_dir:
             command += ["--state-dir", state_dir]
         if trace_dir:
@@ -252,7 +252,12 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> Dict[str, Any]
         attempted = result.attempted + checked
         failed = result.failed + mismatched
         metrics = end_to_end(plan, result)
-        return {"attempted": attempted, "failed": failed, "end_to_end": metrics}
+        return {
+            "attempted": attempted,
+            "failed": failed,
+            "wrong_outputs": mismatched + result.mirror_mismatches,
+            "end_to_end": metrics,
+        }
     work = FIXED_WORK[plan.workload]
     untraced = run_phase(plan, setup_reps=1, per_connection=work)
     trace_dir = os.path.join(OUT, f"spans-{workload}")
@@ -268,4 +273,9 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> Dict[str, Any]
         end_to_end(plan, untraced),
         end_to_end(plan, traced),
     )
-    return {"attempted": attempted, "failed": failed, "per_layer": layers}
+    return {
+        "attempted": attempted,
+        "failed": failed,
+        "wrong_outputs": mismatched + untraced.mirror_mismatches + traced.mirror_mismatches,
+        "per_layer": layers,
+    }

@@ -1,8 +1,9 @@
 """Run ``cbtc serve`` for the benchmark, optionally with span wrappers.
 
-    python3 perfbench/serve_main.py --shards 2 [--state-dir DIR] [--trace-dir DIR]
+    python3 perfbench/serve_main.py [--state-dir DIR] [--trace-dir DIR]
 
-Without ``--trace-dir`` this is exactly ``run_server`` with process shards.
+Without ``--trace-dir`` this is exactly ``run_server`` with two process
+shards.
 With it, the span wrappers are installed before the shard workers fork, so
 the front end and every worker record spans; each worker writes its spans
 from a wrapper on ``WorldHost.close`` (forked ``multiprocessing`` children
@@ -24,10 +25,12 @@ sys.path.insert(0, SRC)
 from repro.service import server as server_module  # noqa: E402
 from repro.service.worlds import WorldHost  # noqa: E402
 
+#: Shard workers of every benchmark server (``cbtc serve --shards 2``).
+SHARDS = 2
+
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--shards", type=int, default=2)
     parser.add_argument("--state-dir")
     parser.add_argument("--trace-dir")
     args = parser.parse_args()
@@ -49,7 +52,7 @@ def main() -> int:
 
         WorldHost.close = close_and_flush
     code = server_module.run_server(
-        host="127.0.0.1", port=0, shards=args.shards, state_dir=args.state_dir
+        host="127.0.0.1", port=0, shards=SHARDS, state_dir=args.state_dir
     )
     if recorder is not None:
         recorder.flush(os.path.join(args.trace_dir, f"spans-{os.getpid()}.jsonl"))

@@ -87,9 +87,9 @@ class Recorder:
         setattr(traced, _MARK, True)
         return traced
 
-    def span(self, name: str, rid: Any = None) -> "_Phase":
+    def span(self, name: str) -> "_Phase":
         """A ``with`` block recorded as one span (the benchmark's own phases)."""
-        return _Phase(self, name, rid)
+        return _Phase(self, name)
 
     def flush(self, path: str) -> None:
         """Write this process's spans as JSON lines to ``path``."""
@@ -100,16 +100,15 @@ class Recorder:
 
 
 class _Phase:
-    def __init__(self, recorder: Recorder, name: str, rid: Any) -> None:
+    def __init__(self, recorder: Recorder, name: str) -> None:
         self.recorder = recorder
         self.name = name
-        self.rid = rid
 
     def __enter__(self) -> "_Phase":
         stack = self.recorder._stack()
         self.parent = stack[-1][0] if stack else -1
         self.sid = next(self.recorder._ids)
-        stack.append((self.sid, self.rid))
+        stack.append((self.sid, None))
         self.start = time.perf_counter()
         return self
 
@@ -117,7 +116,7 @@ class _Phase:
         end = time.perf_counter()
         self.recorder._stack().pop()
         self.recorder.spans.append(
-            (self.sid, self.parent, self.name, self.start, end, self.rid, None)
+            (self.sid, self.parent, self.name, self.start, end, None, None)
         )
 
 
@@ -168,13 +167,13 @@ def self_times(spans: Sequence[Span]) -> Dict[int, float]:
 
 
 def layer_totals(
-    spans: Sequence[Span], window: Optional[Tuple[float, float]] = None
+    spans: Sequence[Span], window: Tuple[float, float]
 ) -> Dict[str, Dict[str, float]]:
     """``{name: {"self_s", "total_s", "calls"}}`` over the spans starting in ``window``."""
     selfs = self_times(spans)
     totals: Dict[str, Dict[str, float]] = {}
     for sid, _, name, start, end, _, _ in spans:
-        if window is not None and not window[0] <= start < window[1]:
+        if not window[0] <= start < window[1]:
             continue
         entry = totals.setdefault(name, {"self_s": 0.0, "total_s": 0.0, "calls": 0})
         entry["self_s"] += selfs[sid]

@@ -87,6 +87,23 @@ def tiny(monkeypatch):
     monkeypatch.setattr(serve, "FIXED_WORK", {"serve-read-hot": 40, "serve-write-durable": 20})
 
 
+def test_one_wrong_world_makes_success_rate_zero(tiny, monkeypatch):
+    replay = serve.replay_serial
+
+    def one_world_off(trace):
+        expected = replay(trace)
+        expected[min(expected)] += " "
+        return expected
+
+    monkeypatch.setattr(serve, "replay_serial", one_world_off)
+    _, result = _run(
+        monkeypatch,
+        ["--workload", "serve-read-hot", "--seed", "3", "--seconds", "0.5", "--trace", "0"],
+    )
+    assert not result["correct"] and result["failed"] == 1
+    assert result["metrics"]["success_rate"]["value"] == 0.0
+
+
 @pytest.mark.parametrize("workload", run_module.WORKLOADS)
 @pytest.mark.parametrize("trace", [0, 1])
 def test_smoke_run_prints_every_metric_with_its_unit(tiny, monkeypatch, workload, trace):

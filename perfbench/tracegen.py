@@ -24,8 +24,6 @@ class ServeShape:
     """The knobs that make one serving workload."""
 
     worlds: int
-    nodes: int
-    mover_fraction: float
     #: Requests per world in every round of a stream, by kind: hot-key
     #: reads, ``advance`` steps and ``apply`` deltas moving one node.
     reads: int
@@ -33,24 +31,26 @@ class ServeShape:
     applies: int
     subscribed_share: float
     route_keys: int
-    traffic_keys: int
     advance_steps: int
     durable: bool
 
 
 SHAPES: Dict[str, ServeShape] = {
     "serve-read-hot": ServeShape(
-        worlds=32, nodes=80, mover_fraction=0.05, reads=19, advances=1, applies=0,
-        subscribed_share=0.0, route_keys=4, traffic_keys=1, advance_steps=5, durable=False,
+        worlds=32, reads=19, advances=1, applies=0,
+        subscribed_share=0.0, route_keys=4, advance_steps=5, durable=False,
     ),
     "serve-write-durable": ServeShape(
-        worlds=16, nodes=80, mover_fraction=0.05, reads=4, advances=4, applies=2,
-        subscribed_share=0.5, route_keys=2, traffic_keys=1, advance_steps=1, durable=True,
+        worlds=16, reads=4, advances=4, applies=2,
+        subscribed_share=0.5, route_keys=2, advance_steps=1, durable=True,
     ),
 }
 
 #: Side of the square deployment region (the catalogue default).
 REGION = 1500.0
+#: Nodes per world and the share of them that move.
+NODES = 80
+MOVER_FRACTION = 0.05
 
 
 @dataclass
@@ -74,8 +74,8 @@ class Plan:
                 "world": prefix + world,
                 "params": {
                     "scenario": "random-waypoint-drift",
-                    "nodes": self.shape.nodes,
-                    "mover_fraction": self.shape.mover_fraction,
+                    "nodes": NODES,
+                    "mover_fraction": MOVER_FRACTION,
                     "seed": seed,
                 },
             }
@@ -117,7 +117,7 @@ class Plan:
                 if kind == "advance":
                     request.update(op="advance", params={"steps": shape.advance_steps})
                 elif kind == "apply":
-                    move = [rng.randrange(shape.nodes), round(rng.uniform(0, REGION), 3),
+                    move = [rng.randrange(NODES), round(rng.uniform(0, REGION), 3),
                             round(rng.uniform(0, REGION), 3)]
                     request.update(op="apply", params={"moves": [move]})
                 else:
@@ -135,13 +135,12 @@ def build_plan(workload: str, seed: int) -> Plan:
     for world in sorted(world_seeds):
         keys: List[Dict[str, Any]] = []
         for _ in range(shape.route_keys):
-            source, target = rng.sample(range(shape.nodes), 2)
+            source, target = rng.sample(range(NODES), 2)
             keys.append({"op": "query_route", "params": {"source": source, "target": target}})
-        for _ in range(shape.traffic_keys):
-            keys.append({
-                "op": "run_traffic",
-                "params": {"flows": 4, "packets": 3, "seed": rng.randrange(1000)},
-            })
+        keys.append({
+            "op": "run_traffic",
+            "params": {"flows": 4, "packets": 3, "seed": rng.randrange(1000)},
+        })
         if shape.durable:
             keys.append({"op": "snapshot", "params": {}})
             keys.append({"op": "query_stats", "params": {}})
