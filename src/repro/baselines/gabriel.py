@@ -11,13 +11,11 @@ Any witness ``w`` for an edge lies strictly inside the disk with diameter
 d(u,v)^2 / 2`` for the midpoint ``m``), so the spatial index only has to
 produce the nodes within ``d(u, v) / 2`` of the midpoint instead of the
 whole node set — turning the classical O(n^3) witness scan into an
-output-sensitive one.  The brute-force path is retained behind
-``use_index=False`` and exercised by the equivalence tests.
+output-sensitive one.  The tests compare the result against that O(n^3)
+definition.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import networkx as nx
 
@@ -29,38 +27,17 @@ def gabriel_graph(
     network: Network,
     *,
     respect_max_range: bool = True,
-    use_index: Optional[bool] = None,
 ) -> nx.Graph:
     """Build the Gabriel graph of the network (restricted to ``G_R`` edges by default)."""
     nodes = network.alive_nodes()
     graph = nx.Graph()
     for node in nodes:
         graph.add_node(node.node_id, pos=node.position.as_tuple())
-    max_range = network.power_model.max_range
-    use_index = network.use_spatial_index if use_index is None else use_index
-
-    if not use_index:
-        for i, u in enumerate(nodes):
-            for v in nodes[i + 1 :]:
-                d_uv_sq = u.distance_to(v) ** 2
-                if respect_max_range and d_uv_sq > (max_range + 1e-12) ** 2:
-                    continue
-                blocked = False
-                for w in nodes:
-                    if w.node_id in (u.node_id, v.node_id):
-                        continue
-                    if u.distance_to(w) ** 2 + v.distance_to(w) ** 2 < d_uv_sq - 1e-9:
-                        blocked = True
-                        break
-                if not blocked:
-                    graph.add_edge(u.node_id, v.node_id, length=u.distance_to(v))
-        return graph
-
     index = network.spatial_index()
     by_id = {node.node_id: node for node in nodes}
 
     if respect_max_range:
-        pairs = ((by_id[a], by_id[b]) for a, b, _ in index.pairs_within(max_range))
+        pairs = ((by_id[a], by_id[b]) for a, b, _ in index.pairs_within(network.power_model.max_range))
     else:
         pairs = ((u, v) for i, u in enumerate(nodes) for v in nodes[i + 1 :])
 

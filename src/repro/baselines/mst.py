@@ -69,12 +69,7 @@ def _delaunay_candidate_edges(nodes: List[Node]) -> Optional[List[Tuple[NodeId, 
     return sorted(edges)
 
 
-def euclidean_mst(
-    network: Network,
-    *,
-    respect_max_range: bool = False,
-    use_index: Optional[bool] = None,
-) -> nx.Graph:
+def euclidean_mst(network: Network, *, respect_max_range: bool = False) -> nx.Graph:
     """Minimum spanning forest over the complete (or max-range) Euclidean graph.
 
     With ``respect_max_range`` the MST is computed inside ``G_R`` (yielding a
@@ -82,27 +77,22 @@ def euclidean_mst(
     graph, which is the classical Euclidean MST.
     """
     nodes = network.alive_nodes()
-    use_index = network.use_spatial_index if use_index is None else use_index
     complete = nx.Graph()
     for node in nodes:
         complete.add_node(node.node_id, pos=node.position.as_tuple())
-    max_range = network.power_model.max_range
 
-    if respect_max_range and use_index:
-        for u, v, d in network.spatial_index().pairs_within(max_range):
+    if respect_max_range:
+        for u, v, d in network.spatial_index().pairs_within(network.power_model.max_range):
             complete.add_edge(u, v, length=d)
     else:
-        candidates = _delaunay_candidate_edges(nodes) if (use_index and not respect_max_range) else None
+        candidates = _delaunay_candidate_edges(nodes)
         if candidates is not None:
             for u, v in candidates:
                 complete.add_edge(u, v, length=network.distance(u, v))
         else:
             for i, u in enumerate(nodes):
                 for v in nodes[i + 1 :]:
-                    d = u.distance_to(v)
-                    if respect_max_range and d > max_range + 1e-12:
-                        continue
-                    complete.add_edge(u.node_id, v.node_id, length=d)
+                    complete.add_edge(u.node_id, v.node_id, length=u.distance_to(v))
 
     forest = nx.minimum_spanning_tree(complete, weight="length")
     # Keep isolated nodes that the spanning tree construction may drop.

@@ -10,13 +10,10 @@ structures.
 Any witness for an edge lies in the lune of the two endpoints and hence
 within ``d(u, v)`` of ``u``, so the spatial index restricts the witness scan
 to that disk instead of the whole node set (O(n^3) -> output-sensitive).
-The brute-force path is retained behind ``use_index=False`` and exercised by
-the equivalence tests.
+The tests compare the result against that O(n^3) definition.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import networkx as nx
 
@@ -27,38 +24,17 @@ def relative_neighborhood_graph(
     network: Network,
     *,
     respect_max_range: bool = True,
-    use_index: Optional[bool] = None,
 ) -> nx.Graph:
     """Build the RNG of the network (restricted to ``G_R`` edges by default)."""
     nodes = network.alive_nodes()
     graph = nx.Graph()
     for node in nodes:
         graph.add_node(node.node_id, pos=node.position.as_tuple())
-    max_range = network.power_model.max_range
-    use_index = network.use_spatial_index if use_index is None else use_index
-
-    if not use_index:
-        for i, u in enumerate(nodes):
-            for v in nodes[i + 1 :]:
-                d_uv = u.distance_to(v)
-                if respect_max_range and d_uv > max_range + 1e-12:
-                    continue
-                blocked = False
-                for w in nodes:
-                    if w.node_id in (u.node_id, v.node_id):
-                        continue
-                    if max(u.distance_to(w), v.distance_to(w)) < d_uv - 1e-12:
-                        blocked = True
-                        break
-                if not blocked:
-                    graph.add_edge(u.node_id, v.node_id, length=d_uv)
-        return graph
-
     index = network.spatial_index()
     by_id = {node.node_id: node for node in nodes}
 
     if respect_max_range:
-        pairs = ((by_id[a], by_id[b]) for a, b, _ in index.pairs_within(max_range))
+        pairs = ((by_id[a], by_id[b]) for a, b, _ in index.pairs_within(network.power_model.max_range))
     else:
         pairs = ((u, v) for i, u in enumerate(nodes) for v in nodes[i + 1 :])
 

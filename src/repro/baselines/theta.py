@@ -36,7 +36,7 @@ def _cone_candidates(network: Network, nodes: List[Node], u: Node, respect_max_r
     order is irrelevant to the result: the per-cone winner is selected by
     full-tuple comparison (distance, then node id), never first-seen.
     """
-    if respect_max_range and network.use_spatial_index:
+    if respect_max_range:
         max_range = network.power_model.max_range
         return (
             network.node(v_id)

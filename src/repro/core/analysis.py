@@ -83,8 +83,6 @@ def preserves_max_power_connectivity(network: "Network", candidate: nx.Graph) ->
     alive = {node.node_id for node in network.alive_nodes()}
     if set(candidate.nodes) != alive:
         return False
-    if not network.use_spatial_index:
-        return preserves_connectivity(network.max_power_graph(), candidate)
     reference_pairs = network.spatial_index().pairs_within(network.power_model.max_range)
     reference = _partition_labels(alive, ((u, v) for u, v, _ in reference_pairs))
     return reference == _partition_labels(alive, candidate.edges)

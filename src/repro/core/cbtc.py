@@ -39,39 +39,22 @@ from repro.radio.power import ExhaustiveSchedule, PowerSchedule
 from repro.core.state import CBTCOutcome, NeighborRecord, NodeState
 
 
-def _candidate_neighbors(network: Network, node: Node) -> List[Node]:
-    """Nodes that could ever be discovered by ``node`` (within maximum range).
-
-    Delegates to :meth:`Network.neighbors_within`, which answers from the
-    cached spatial index (falling back to a linear scan when indexing is
-    disabled); either way the result is ID-sorted and uses the repo-wide
-    ``<= max_range + 1e-12`` tolerance.
-    """
-    max_range = network.power_model.max_range
-    return [network.node(other_id) for other_id in network.neighbors_within(node.node_id, max_range)]
-
-
 def _sorted_candidates(network: Network, node: Node) -> List[Tuple[float, Node, float]]:
     """``(required_power, node, distance)`` for each candidate, sorted.
 
     The growing phase visits strictly increasing power levels, so with
     candidates pre-sorted by required power (ties broken by node ID for
     determinism) each level consumes a contiguous slice instead of
-    rescanning the whole candidate set.
+    rescanning the whole candidate set.  Candidates are the alive nodes
+    within maximum range, with the distances the spatial index computed.
     """
     power_model = network.power_model
-    candidates = []
-    if network.use_spatial_index:
-        # The index already computed each candidate's distance (with the
-        # same math.hypot call Node.distance_to makes); reuse it.
+    candidates = [
+        (power_model.required_power(dist), network.node(other_id), dist)
         for other_id, dist in network.spatial_index().neighbors_with_distances(
             node.position, power_model.max_range, exclude=node.node_id
-        ):
-            candidates.append((power_model.required_power(dist), network.node(other_id), dist))
-    else:
-        for other in _candidate_neighbors(network, node):
-            dist = node.distance_to(other)
-            candidates.append((power_model.required_power(dist), other, dist))
+        )
+    ]
     candidates.sort(key=lambda item: (item[0], item[1].node_id))
     return candidates
 
@@ -276,7 +259,7 @@ def run_cbtc(
     :mod:`repro.core.optimizations` to apply the optimizations.
     """
     outcome = CBTCOutcome(alpha=alpha)
-    all_candidates = _all_sorted_candidates(network) if network.use_spatial_index else None
+    all_candidates = _all_sorted_candidates(network)
     for node in network.nodes:
         if not node.alive:
             continue
@@ -285,6 +268,6 @@ def run_cbtc(
             node.node_id,
             alpha,
             schedule=schedule,
-            _candidates=None if all_candidates is None else all_candidates[node.node_id],
+            _candidates=all_candidates[node.node_id],
         )
     return outcome

@@ -37,8 +37,9 @@ and by the scenario-level equivalence battery.
 
 Full-rebuild fallback: the builder falls back to a from-scratch build when
 (a) it has no previous result, (b) the dirty region covers most of the
-network (splicing would cost more than rebuilding), or (c) the network has
-its spatial index disabled (witness discovery needs it).
+network (splicing would cost more than rebuilding), or (c) the builder runs
+CBTC itself and the dirty nodes plus their in-range witnesses cover most of
+the network.
 """
 
 from __future__ import annotations
@@ -249,9 +250,6 @@ class IncrementalTopologyBuilder:
         self.dirty_size_hist.observe(len(dirty))
         network, config = self.network, self.config
         if outcome is None:
-            if not network.use_spatial_index:
-                self.fallbacks += 1
-                return self.rebuild()
             expanded = self._recompute_cbtc(dirty)
             if expanded is None:
                 self.fallbacks += 1

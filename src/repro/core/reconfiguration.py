@@ -298,7 +298,7 @@ class ReconfigurationManager:
     # ------------------------------------------------------------------ #
     # Centralized synchronization against ground truth
     # ------------------------------------------------------------------ #
-    def _build_sync_scratch(self) -> Optional["_SyncScratch"]:
+    def _build_sync_scratch(self) -> _SyncScratch:
         """Precompute geometry shared by every iteration of one synchronize.
 
         Node positions are static *within* a synchronize call — only states
@@ -306,14 +306,11 @@ class ReconfigurationManager:
         pair set, the pairwise distances and the pairwise directions are all
         loop invariants.  One ``pairs_within(max_range)`` enumeration (the
         same memoized pair set the epoch's measurement phase reuses) feeds
-        every iteration's forget/leave/angle/join checks, replacing what
-        used to be an O(n^2) rescan per iteration.  The tolerance contract
-        matches ``can_reach`` exactly (``d <= R + 1e-12``), so every derived
-        event is identical to the historic per-pair recomputation.
+        every iteration's forget/leave/angle/join checks.  Its tolerance
+        matches ``can_reach`` exactly (``d <= R + 1e-12``), so an alive pair
+        is in ``reach`` iff the two nodes can communicate.
         """
         network = self.network
-        if not network.use_spatial_index:
-            return None
         reach: Dict[NodeId, Dict[NodeId, float]] = {}
         for u, v, dist in network.spatial_index().pairs_within(network.power_model.max_range):
             reach.setdefault(u, {})[v] = dist
@@ -328,44 +325,35 @@ class ReconfigurationManager:
         self,
         beacon_powers: Dict[NodeId, float],
         alive: Set[NodeId],
-        scratch: Optional["_SyncScratch"],
+        scratch: _SyncScratch,
     ) -> Dict[NodeId, List[JoinEvent]]:
         """Join events per observer, computed subject-first.
 
-        Historically every observer scanned every beaconing subject — an
-        O(n^2) pass per synchronization iteration that dominated epoch time
-        at n >= 1000.  Inverting the loop makes it output-sensitive: a
-        subject's beacon only reaches nodes within ``range_for_power`` of
-        its beacon power, a distance-sorted prefix of the precomputed
-        in-range lists.  The exact reception predicate (``reaches_with`` on
-        the scalar distance) is then applied unchanged, and subjects are
-        visited in ``beacon_powers`` order, so each observer's join list is
-        identical — events, floats and order — to the historic scan.
+        A pair ``(observer, subject)`` of distinct alive nodes is a join when
+        the subject is not yet known to the observer and
+        ``can_reach(d) and reaches_with(beacon_power, d)`` holds.  Rather
+        than testing every alive pair, each subject's candidates are a
+        distance-sorted prefix of its precomputed in-range list: its beacon
+        only reaches nodes within ``range_for_power`` of its beacon power.
+        The exact predicate is then applied to each candidate, and subjects
+        are visited in ``beacon_powers`` order, so each observer's join list
+        (events, floats and order) equals the all-pairs definition
+        (property-tested).
         """
-        network = self.network
-        power_model = network.power_model
+        power_model = self.network.power_model
         joins: Dict[NodeId, List[JoinEvent]] = {}
         states = self.outcome.states
         known_of = self._known
-        ordered_alive = sorted(alive) if scratch is None else None
         for subject, beacon_power in beacon_powers.items():
             if subject not in alive:
                 continue
-            if scratch is not None:
-                distances, partners = scratch.sorted_reach.get(subject, ([], []))
-                # Over-approximate the reception radius, then filter with the
-                # exact predicate so results match the linear scan bit for
-                # bit (same trick as Network.receivers_of_broadcast).
-                bound = power_model.range_for_power(beacon_power * (1.0 + 1e-9)) + 1e-9
-                cutoff = bisect.bisect_right(distances, bound)
-                candidates = partners[:cutoff]
-                candidate_distances = distances
-            else:
-                candidates = ordered_alive
-                candidate_distances = None
-            for i, observer in enumerate(candidates):
-                if observer == subject or observer not in alive:
-                    continue
+            distances, partners = scratch.sorted_reach.get(subject, ([], []))
+            # Over-approximate the reception radius so the prefix cut-off
+            # never drops a node the exact predicate below would accept
+            # (same trick as Network.receivers_of_broadcast).
+            bound = power_model.range_for_power(beacon_power * (1.0 + 1e-9)) + 1e-9
+            cutoff = bisect.bisect_right(distances, bound)
+            for i, observer in enumerate(partners[:cutoff]):
                 state = states.get(observer)
                 if state is None:
                     continue
@@ -374,11 +362,7 @@ class ReconfigurationManager:
                     known = known_of.setdefault(observer, set(state.neighbor_ids))
                 if subject in known:
                     continue
-                distance = (
-                    candidate_distances[i]
-                    if candidate_distances is not None
-                    else network.distance(observer, subject)
-                )
+                distance = distances[i]
                 if power_model.can_reach(distance) and power_model.reaches_with(
                     beacon_power, distance
                 ):
@@ -393,12 +377,8 @@ class ReconfigurationManager:
                     )
         return joins
 
-    def _direction(
-        self, u: NodeId, v: NodeId, scratch: Optional["_SyncScratch"]
-    ) -> float:
+    def _direction(self, u: NodeId, v: NodeId, scratch: _SyncScratch) -> float:
         """``direction(u, v)``, memoized per synchronize call (static geometry)."""
-        if scratch is None:
-            return self.network.direction(u, v)
         key = (u, v)
         cached = scratch.directions.get(key)
         if cached is None:
@@ -406,16 +386,12 @@ class ReconfigurationManager:
             scratch.directions[key] = cached
         return cached
 
-    def _detect_events(
-        self, scratch: Optional["_SyncScratch"] = None
-    ) -> List[ReconfigurationEvent]:
+    def _detect_events(self, scratch: _SyncScratch) -> List[ReconfigurationEvent]:
         """Derive the events a beaconing NDP would deliver in the current geometry."""
         events: List[ReconfigurationEvent] = []
         network = self.network
         power_model = network.power_model
-        beacon_powers = beacon_power_policy(
-            self.outcome, network, distances=scratch.reach if scratch is not None else None
-        )
+        beacon_powers = beacon_power_policy(self.outcome, network, distances=scratch.reach)
         alive: Set[NodeId] = {node.node_id for node in network.nodes if node.alive}
         joins_by_observer = self._joins_by_observer(beacon_powers, alive, scratch)
         empty: Dict[NodeId, float] = {}
@@ -424,35 +400,18 @@ class ReconfigurationManager:
             observer = state.node_id
             if observer not in alive:
                 continue
-            in_range = scratch.reach.get(observer, empty) if scratch is not None else None
+            in_range = scratch.reach.get(observer, empty)
             known = self._known.get(observer)
             if known is None:
                 known = self._known.setdefault(observer, set(state.neighbor_ids))
             # Forget heard-from nodes that are gone or out of range, so that a
             # node which moves away and later returns produces a fresh join.
             for other_id in list(known):
-                if other_id in state.neighbors:
-                    continue
-                if in_range is not None:
-                    gone = other_id not in in_range
-                else:
-                    gone = other_id not in alive or not power_model.can_reach(
-                        network.distance(observer, other_id)
-                    )
-                if gone:
+                if other_id not in state.neighbors and other_id not in in_range:
                     known.discard(other_id)
             # Leaves: recorded neighbours that died or moved out of maximum range.
             for neighbor_id in state.neighbor_ids:
-                if in_range is not None:
-                    distance = in_range.get(neighbor_id)
-                else:
-                    distance = (
-                        network.distance(observer, neighbor_id)
-                        if neighbor_id in alive
-                        else None
-                    )
-                    if distance is not None and not power_model.can_reach(distance):
-                        distance = None
+                distance = in_range.get(neighbor_id)
                 if distance is None:
                     events.append(LeaveEvent(observer=observer, subject=neighbor_id))
                     continue
@@ -489,21 +448,13 @@ class ReconfigurationManager:
             events.extend(joins_by_observer.get(observer, ()))
         return events
 
-    def synchronize(self, *, max_iterations: int = 20, accelerated: bool = True) -> int:
+    def synchronize(self, *, max_iterations: int = 20) -> int:
         """Apply detected events until quiescence; return iterations used.
 
         Dead nodes' states are dropped first (they no longer participate).
         Raises ``RuntimeError`` if the loop does not stabilize within
         ``max_iterations`` — with a finite node set and monotone power levels
         this indicates a bug rather than a legitimate oscillation.
-
-        ``accelerated=True`` (the default) shares one spatial-index geometry
-        pass across all detection iterations (:meth:`_build_sync_scratch`);
-        ``accelerated=False`` recomputes every pairwise distance per
-        iteration — the historic O(n^2) path, kept both as the reference the
-        equivalence battery compares against and as the baseline the
-        incremental benchmarks measure speedups over.  Both derive the exact
-        same events in the same order.
         """
         alive = {node.node_id for node in self.network.nodes if node.alive}
         for node_id in list(self.outcome.states):
@@ -520,7 +471,7 @@ class ReconfigurationManager:
         # Geometry is static for the whole synchronize call, so the in-range
         # pair set, distances and directions are computed once and shared by
         # every detection iteration (see _build_sync_scratch).
-        scratch = self._build_sync_scratch() if accelerated else None
+        scratch = self._build_sync_scratch()
         for iteration in range(1, max_iterations + 1):
             events = self._detect_events(scratch)
             if not events:

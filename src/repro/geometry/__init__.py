@@ -33,6 +33,8 @@ Public API
 ``UniformGridIndex``
     Uniform-grid spatial index answering ``neighbors_within`` disk queries
     in output-sensitive time (the backbone of every scalable hot path).
+``BruteForceIndex``
+    Linear-scan reference with the same interface, used as the test oracle.
 ``pairwise_distances``, ``distances_from``
     Vectorized bulk-distance helpers (numpy-backed when available).
 """
@@ -62,6 +64,7 @@ from repro.geometry.angles import (
 from repro.geometry.cones import Cone, cone_from_bisector
 from repro.geometry.spatial import (
     DISTANCE_TOLERANCE,
+    BruteForceIndex,
     UniformGridIndex,
     distances_from,
     pairwise_distances,
@@ -96,6 +99,7 @@ __all__ = [
     "Cone",
     "cone_from_bisector",
     "DISTANCE_TOLERANCE",
+    "BruteForceIndex",
     "UniformGridIndex",
     "distances_from",
     "pairwise_distances",

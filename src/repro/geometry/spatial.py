@@ -22,9 +22,10 @@ The index is an *accelerator, not an approximation*: queries return exactly
 the keys a brute-force scan with the repo-wide distance tolerance would
 return (``d <= r + 1e-12``, see :data:`DISTANCE_TOLERANCE`), computed with
 the same ``math.hypot`` call that :meth:`Point.distance_to` uses, and sorted
-by key so iteration order matches a scan over ID-sorted nodes.  The property
-tests in ``tests/geometry/test_spatial.py`` enforce this contract, including
-for points at distance exactly ``r``.
+by key so iteration order matches a scan over ID-sorted nodes.  That scan is
+:class:`BruteForceIndex`, the test oracle with the same interface.  The
+property tests in ``tests/geometry/test_spatial.py`` enforce this contract,
+including for points at distance exactly ``r``.
 
 Bulk distance computations (used by analyses rather than the
 identity-critical construction paths) are served by the vectorized helpers
@@ -44,7 +45,7 @@ except ImportError:  # pragma: no cover - the test image always has numpy
 
 #: Absolute slack added to every distance comparison, matching the
 #: ``d <= radius + 1e-12`` convention used throughout the reproduction
-#: (``Network.neighbors_within``, ``_candidate_neighbors``, the baselines).
+#: (both index classes below, ``PowerModel.can_reach``, the baselines).
 DISTANCE_TOLERANCE = 1e-12
 
 Coordinate = Tuple[float, float]
@@ -275,6 +276,89 @@ class UniformGridIndex:
             for v, d in partners:
                 pairs.append((u, v, d))
         self._pair_cache[radius] = pairs
+        return pairs
+
+
+class BruteForceIndex:
+    """Linear-scan reference for the :class:`UniformGridIndex` interface.
+
+    Every query scans all stored points with the same ``math.hypot``
+    distances, the same tolerance and the same key-sorted result order as
+    the grid, so the two must answer identically.  No production code builds
+    it: the equivalence tests swap it in for the grid that
+    :meth:`repro.net.network.Network.spatial_index` constructs, which makes
+    every construction on that network run against this oracle.
+    ``cell_size`` is accepted for constructor parity and ignored.
+    """
+
+    __slots__ = ("_points", "neighbor_queries", "pair_queries")
+
+    def __init__(self, cell_size: float, items: Iterable[Tuple[Hashable, object]] = ()) -> None:
+        self.neighbor_queries = 0
+        self.pair_queries = 0
+        self._points: Dict[Hashable, Coordinate] = {}
+        for key, point in items:
+            self.insert(key, point)
+
+    def __len__(self) -> int:
+        return len(self._points)
+
+    def __contains__(self, key: Hashable) -> bool:
+        return key in self._points
+
+    def insert(self, key: Hashable, point) -> None:
+        """Add a new keyed point (raises on duplicate keys)."""
+        if key in self._points:
+            raise ValueError(f"duplicate key {key!r} in spatial index")
+        self._points[key] = _as_xy(point)
+
+    def delete(self, key: Hashable) -> None:
+        """Remove a keyed point (raises ``KeyError`` when absent)."""
+        del self._points[key]
+
+    def move(self, key: Hashable, point) -> None:
+        """Relocate a keyed point (raises ``KeyError`` when absent)."""
+        if key not in self._points:
+            raise KeyError(key)
+        self._points[key] = _as_xy(point)
+
+    def _scan(self, point, radius: float, exclude: Optional[Hashable]) -> List[Tuple[Hashable, float]]:
+        if radius < 0:
+            return []
+        qx, qy = _as_xy(point)
+        limit = radius + DISTANCE_TOLERANCE
+        found = []
+        for key, (px, py) in sorted(self._points.items()):
+            d = math.hypot(px - qx, py - qy)
+            if key != exclude and d <= limit:
+                found.append((key, d))
+        return found
+
+    def neighbors_within(self, point, radius: float, *, exclude: Optional[Hashable] = None) -> List[Hashable]:
+        """Keys within ``radius`` of ``point`` (inclusive, with tolerance), sorted."""
+        self.neighbor_queries += 1
+        return [key for key, _ in self._scan(point, radius, exclude)]
+
+    def neighbors_with_distances(
+        self, point, radius: float, *, exclude: Optional[Hashable] = None
+    ) -> List[Tuple[Hashable, float]]:
+        """Sorted ``(key, distance)`` pairs within ``radius`` of ``point``."""
+        self.neighbor_queries += 1
+        return self._scan(point, radius, exclude)
+
+    def pairs_within(self, radius: float) -> List[Tuple[Hashable, Hashable, float]]:
+        """``(u, v, distance)`` triples with ``u < v``, ascending in ``u`` then ``v``."""
+        self.pair_queries += 1
+        if radius < 0:
+            return []
+        limit = radius + DISTANCE_TOLERANCE
+        ordered = sorted(self._points.items())
+        pairs = []
+        for i, (u, (ux, uy)) in enumerate(ordered):
+            for v, (vx, vy) in ordered[i + 1 :]:
+                d = math.hypot(vx - ux, vy - uy)
+                if d <= limit:
+                    pairs.append((u, v, d))
         return pairs
 
 

@@ -20,20 +20,12 @@ def unit_disk_graph(network: Network, radius: Optional[float] = None) -> nx.Grap
     if radius is None:
         return network.max_power_graph()
     graph = nx.Graph()
-    nodes = network.alive_nodes()
-    for node in nodes:
+    for node in network.alive_nodes():
         graph.add_node(node.node_id, pos=node.position.as_tuple())
-    if network.use_spatial_index:
-        # The grid is keyed on the maximum range but answers any radius; it
-        # simply visits more cells for larger query disks.
-        for u, v, d in network.spatial_index().pairs_within(radius):
-            graph.add_edge(u, v, length=d)
-        return graph
-    for i, u in enumerate(nodes):
-        for v in nodes[i + 1 :]:
-            d = u.distance_to(v)
-            if d <= radius + 1e-12:
-                graph.add_edge(u.node_id, v.node_id, length=d)
+    # The grid is keyed on the maximum range but answers any radius; it
+    # simply visits more cells for larger query disks.
+    for u, v, d in network.spatial_index().pairs_within(radius):
+        graph.add_edge(u, v, length=d)
     return graph
 
 

@@ -102,20 +102,16 @@ class Network:
     :meth:`add_node`/:meth:`remove_node` report directly — the matching
     delta update is applied to the index, the per-entry dirty sets of the
     :class:`DerivedDataCache` grow, and every registered dirty listener
-    records the node ID.  ``use_spatial_index=False`` forces every query
-    back onto the brute-force scans (used by the equivalence tests and as
-    an escape hatch).
+    records the node ID.  Every range query, and every construction built on
+    them, goes through this index.
     """
 
     def __init__(
         self,
         nodes: Iterable[Node],
         power_model: Optional[PowerModel] = None,
-        *,
-        use_spatial_index: bool = True,
     ) -> None:
         self.power_model = power_model if power_model is not None else default_power_model()
-        self.use_spatial_index = use_spatial_index
         self._spatial_index: Optional[UniformGridIndex] = None
         self._derived_cache = DerivedDataCache()
         self._dirty_listeners: List[Set[NodeId]] = []
@@ -134,8 +130,6 @@ class Network:
         cls,
         positions: Sequence[Tuple[float, float]],
         power_model: Optional[PowerModel] = None,
-        *,
-        use_spatial_index: bool = True,
     ) -> "Network":
         """Build a network from a sequence of ``(x, y)`` coordinates.
 
@@ -143,19 +137,17 @@ class Network:
         labelling in the paper's Figure 6 plots.
         """
         nodes = [Node(node_id=i, position=Point(float(x), float(y))) for i, (x, y) in enumerate(positions)]
-        return cls(nodes, power_model=power_model, use_spatial_index=use_spatial_index)
+        return cls(nodes, power_model=power_model)
 
     @classmethod
     def from_points(
         cls,
         points: Sequence[Point],
         power_model: Optional[PowerModel] = None,
-        *,
-        use_spatial_index: bool = True,
     ) -> "Network":
         """Build a network from a sequence of :class:`Point` objects."""
         nodes = [Node(node_id=i, position=p) for i, p in enumerate(points)]
-        return cls(nodes, power_model=power_model, use_spatial_index=use_spatial_index)
+        return cls(nodes, power_model=power_model)
 
     # ------------------------------------------------------------------ #
     # Basic accessors
@@ -313,73 +305,45 @@ class Network:
         """Minimum power for ``u`` to reach ``v`` directly."""
         return self.power_model.required_power(self.distance(u, v))
 
-    def receivers_of_broadcast(self, sender: NodeId, power: float, *, include_dead: bool = False) -> List[NodeId]:
+    def receivers_of_broadcast(self, sender: NodeId, power: float) -> List[NodeId]:
         """Node IDs that receive a broadcast from ``sender`` at ``power``.
 
         Implements the paper's ``bcast(u, p, m)`` reception set
-        ``{v | p(d(u, v)) <= p}``, excluding the sender itself and, by
-        default, crashed nodes.
+        ``{v | p(d(u, v)) <= p}``, excluding the sender itself and crashed
+        nodes.
         """
-        sender_node = self.node(sender)
-        if self.use_spatial_index and not include_dead:
-            # Over-approximate the reception radius, then apply the exact
-            # ``reaches_with`` predicate so results match the linear scan
-            # bit for bit.  ``range_for_power`` clamps to the maximum range,
-            # which is safe because ``reaches_with`` requires ``can_reach``.
-            query_radius = self.power_model.range_for_power(power * (1.0 + 1e-9)) + 1e-9
-            reaches = self.power_model.reaches_with
-            sender_position = sender_node.position
-            return [
-                node_id
-                for node_id, dist in self.spatial_index().neighbors_with_distances(
-                    sender_position, query_radius, exclude=sender
-                )
-                if reaches(power, dist)
-            ]
-        receivers = []
-        for node in self.nodes:
-            if node.node_id == sender:
-                continue
-            if not include_dead and not node.alive:
-                continue
-            if self.power_model.reaches_with(power, sender_node.distance_to(node)):
-                receivers.append(node.node_id)
-        return receivers
+        # Over-approximate the reception radius, then apply the exact
+        # ``reaches_with`` predicate to each candidate's distance.
+        # ``range_for_power`` clamps to the maximum range, which is safe
+        # because ``reaches_with`` requires ``can_reach``.
+        query_radius = self.power_model.range_for_power(power * (1.0 + 1e-9)) + 1e-9
+        reaches = self.power_model.reaches_with
+        return [
+            node_id
+            for node_id, dist in self.spatial_index().neighbors_with_distances(
+                self.node(sender).position, query_radius, exclude=sender
+            )
+            if reaches(power, dist)
+        ]
 
     def neighbors_within(self, node_id: NodeId, radius: float) -> List[NodeId]:
-        """Node IDs within ``radius`` of the given node (excluding itself)."""
-        center = self.node(node_id)
-        if self.use_spatial_index:
-            return self.spatial_index().neighbors_within(center.position, radius, exclude=node_id)
-        return [
-            n.node_id
-            for n in self.nodes
-            if n.node_id != node_id and n.alive and center.distance_to(n) <= radius + 1e-12
-        ]
+        """Alive node IDs within ``radius`` of the given node (excluding itself)."""
+        return self.spatial_index().neighbors_within(self.node(node_id).position, radius, exclude=node_id)
 
     # ------------------------------------------------------------------ #
     # Reference graphs
     # ------------------------------------------------------------------ #
-    def max_power_graph(self, *, include_dead: bool = False) -> nx.Graph:
-        """The graph ``GR`` induced by every node transmitting at maximum power.
+    def max_power_graph(self) -> nx.Graph:
+        """The graph ``GR`` induced by every alive node transmitting at maximum power.
 
         ``GR = (V, E)`` with ``E = {(u, v) | d(u, v) <= R}``.  Node positions
         are attached as the ``pos`` node attribute; edge lengths as ``length``.
         """
         graph = nx.Graph()
-        candidates = self.nodes if include_dead else self.alive_nodes()
-        for node in candidates:
+        for node in self.alive_nodes():
             graph.add_node(node.node_id, pos=node.position.as_tuple())
-        max_range = self.power_model.max_range
-        if self.use_spatial_index and not include_dead:
-            for u, v, d in self.spatial_index().pairs_within(max_range):
-                graph.add_edge(u, v, length=d)
-            return graph
-        for i, u in enumerate(candidates):
-            for v in candidates[i + 1 :]:
-                d = u.distance_to(v)
-                if d <= max_range + 1e-12:
-                    graph.add_edge(u.node_id, v.node_id, length=d)
+        for u, v, d in self.spatial_index().pairs_within(self.power_model.max_range):
+            graph.add_edge(u, v, length=d)
         return graph
 
     def positions(self) -> Dict[NodeId, Tuple[float, float]]:
@@ -400,4 +364,4 @@ class Network:
             Node(node_id=n.node_id, position=Point(n.position.x, n.position.y), alive=n.alive, label=n.label)
             for n in self.nodes
         ]
-        return Network(nodes, power_model=self.power_model, use_spatial_index=self.use_spatial_index)
+        return Network(nodes, power_model=self.power_model)

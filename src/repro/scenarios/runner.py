@@ -155,12 +155,11 @@ class ScenarioRunner:
 
     ``incremental`` selects the epoch-to-epoch topology path: ``True`` (the
     default) threads each epoch's dirty-node delta through the incremental
-    pipeline (one shared geometry pass per synchronize, scoped CBTC, scoped
-    optimization passes, spliced graph, route cache); ``False`` reproduces
-    the historic epoch loop — the per-pair O(n^2) event-detection scan and a
-    full ``build_topology`` every epoch — kept as the reference baseline the
-    equivalence battery and the incremental benchmarks compare against.
-    Both paths produce byte-identical results per epoch.
+    pipeline (scoped CBTC, scoped optimization passes, spliced graph, route
+    cache); ``False`` runs a from-scratch ``build_topology`` every epoch and
+    routes without the cache — the reference the equivalence battery and
+    the incremental benchmarks compare against.  Both run the same
+    ``synchronize`` and produce byte-identical results per epoch.
     ``verify_incremental`` makes every epoch self-check against a fresh full
     rebuild (slow; used by the catalogue equivalence tests).  ``profile``
     records wall-clock per-phase timings into each epoch's metrics.
@@ -281,9 +280,7 @@ class ScenarioRunner:
         if self._manager is not None:
             events_before = self._manager.events_applied
             reruns_before = self._manager.reruns
-            iterations = self._manager.synchronize(
-                max_iterations=spec.sync_max_iterations, accelerated=self.incremental
-            )
+            iterations = self._manager.synchronize(max_iterations=spec.sync_max_iterations)
             topology = self._manager.topology(
                 config=spec.optimizations.config(), incremental=self.incremental
             )

@@ -321,14 +321,3 @@ def envelope_problem(
     if token is not None and (not isinstance(token, str) or not token):
         return ("'token' must be a non-empty string", None)
     return None
-
-
-def validate_request(request: Dict[str, Any]) -> Optional[str]:
-    """Why ``request`` is malformed, or ``None`` when it is well-formed.
-
-    Compatibility wrapper around :func:`envelope_problem` for callers that
-    only want the message; new code should prefer the full form, which
-    also carries the structured error code.
-    """
-    problem = envelope_problem(request)
-    return None if problem is None else problem[0]

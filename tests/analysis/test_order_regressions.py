@@ -1,8 +1,8 @@
 """Regression tests for the order-dependence bugs detlint surfaced.
 
 Each test pins a fix from the determinism sweep by exercising the code
-path under two different construction histories (insertion order, spatial
-index on/off) and requiring *bitwise* equal results.  The first test
+path under two different construction histories (insertion order, grid
+versus brute-force spatial index) and requiring *bitwise* equal results.  The first test
 documents why this is not paranoia: float addition is not associative, so
 an aggregate summed in container order is a different number depending on
 how the container happened to be filled.
@@ -21,11 +21,14 @@ from repro.radio import PathLossModel, PowerModel
 import networkx as nx
 
 
-def _network(points, max_range=10.0, use_spatial_index=True):
+def _network(points, max_range=10.0):
     power_model = PowerModel(propagation=PathLossModel(), max_range=max_range)
-    return Network.from_points(
-        points, power_model=power_model, use_spatial_index=use_spatial_index
-    )
+    return Network.from_points(points, power_model=power_model)
+
+
+def _grid_and_oracle(points, brute_force_twin):
+    network = _network(points)
+    return (network, brute_force_twin(network))
 
 
 def test_float_addition_is_not_associative():
@@ -79,15 +82,14 @@ class TestMetricsOrderIndependence:
 
 
 class TestConeBaselineTiebreaks:
-    def test_yao_tie_goes_to_smaller_node_id(self):
+    def test_yao_tie_goes_to_smaller_node_id(self, brute_force_twin):
         # Nodes 1 and 2 are both at distance exactly 5 from node 0 and,
         # with k=1, compete in the same cone.  The winner must be node 1
         # (the id tie-break), never "whichever candidate was enumerated
-        # first" — which is what made spatial-index on/off diverge.
+        # first" — which is what made the two index classes diverge.
         points = [Point(0.0, 0.0), Point(3.0, 4.0), Point(4.0, 3.0)]
         graphs = [
-            yao_graph(_network(points, use_spatial_index=flag), k=1)
-            for flag in (True, False)
+            yao_graph(network, k=1) for network in _grid_and_oracle(points, brute_force_twin)
         ]
         for graph in graphs:
             assert graph.has_edge(0, 1)
@@ -97,13 +99,12 @@ class TestConeBaselineTiebreaks:
         )
         assert first == second
 
-    def test_theta_tie_goes_to_smaller_node_id(self):
+    def test_theta_tie_goes_to_smaller_node_id(self, brute_force_twin):
         # Nodes 1 and 2 sit symmetrically about the single cone's bisector
         # at equal distance, so their bisector projections tie exactly.
         points = [Point(0.0, 0.0), Point(-3.0, 4.0), Point(-3.0, -4.0)]
         graphs = [
-            theta_graph(_network(points, use_spatial_index=flag), k=1)
-            for flag in (True, False)
+            theta_graph(network, k=1) for network in _grid_and_oracle(points, brute_force_twin)
         ]
         for graph in graphs:
             assert graph.has_edge(0, 1)

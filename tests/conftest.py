@@ -6,7 +6,8 @@ import math
 
 import pytest
 
-from repro.geometry import Point
+import repro.net.network as network_module
+from repro.geometry import BruteForceIndex, Point
 from repro.net.network import Network
 from repro.net.placement import PlacementConfig, random_uniform_placement
 from repro.radio import PathLossModel, PowerModel
@@ -49,3 +50,28 @@ def small_random_network() -> Network:
 def medium_random_network() -> Network:
     """A 60-node random network on the paper's workload geometry (seeded)."""
     return random_uniform_placement(PlacementConfig(node_count=60), seed=11)
+
+
+@pytest.fixture
+def brute_force_twin(monkeypatch):
+    """Return ``twin(network)``: a copy of ``network`` backed by the oracle.
+
+    The copy's spatial index is built while ``repro.net.network`` has
+    :class:`BruteForceIndex` in place of ``UniformGridIndex``, so every
+    construction on the copy runs against the linear-scan reference.  The
+    network keeps its index live across moves, crashes and joins (only
+    ``invalidate_spatial_index`` rebuilds it), so the twin stays on the
+    oracle after the swap is undone; the original is pinned to the grid
+    first.  Comparing outputs of the two networks checks the grid against
+    the oracle through every production code path.
+    """
+
+    def twin(network: Network) -> Network:
+        network.spatial_index()
+        with monkeypatch.context() as patch:
+            patch.setattr(network_module, "UniformGridIndex", BruteForceIndex)
+            copy = network.copy()
+            copy.spatial_index()
+        return copy
+
+    return twin

@@ -118,19 +118,6 @@ class TestUpdateTopologyEquivalence:
 
 
 class TestFallbacks:
-    def test_spatial_index_disabled_falls_back_to_full_rebuild(self):
-        network, side = _drift_network(node_count=40)
-        network.use_spatial_index = False
-        result = update_topology(network, ALPHA, None, [], config=OptimizationConfig.none())
-        builder = result.incremental_builder
-        dirty = _perturb(network, side, random.Random(2))
-        updated = update_topology(network, ALPHA, result, dirty, config=OptimizationConfig.none())
-        assert builder.full_builds == 2
-        assert builder.incremental_updates == 0
-        assert results_to_json(updated) == results_to_json(
-            build_topology(network, ALPHA, config=OptimizationConfig.none())
-        )
-
     def test_large_dirty_region_falls_back_to_full_rebuild(self):
         network, side = _drift_network(node_count=40)
         result = update_topology(network, ALPHA, None, [], config=OptimizationConfig.none())

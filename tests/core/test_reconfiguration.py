@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.analysis import preserves_connectivity
 from repro.core.cbtc import run_cbtc
@@ -222,18 +224,93 @@ class TestTopologyMemoization:
         shrunk = manager.topology(config=OptimizationConfig.shrink_only())
         assert shrunk is not basic
 
-    def test_incremental_and_full_topologies_are_byte_identical(self, network):
+    def test_incremental_and_full_topologies_are_byte_identical(self, network, brute_force_twin):
         from repro.io.results import results_to_json
 
+        # The full-rebuild manager runs on the brute-force index, so this
+        # checks the grid-backed splice against the oracle end to end.
+        oracle = brute_force_twin(network)
         incremental_manager = ReconfigurationManager(network, ALPHA)
-        full_manager = ReconfigurationManager(network, ALPHA)
+        full_manager = ReconfigurationManager(oracle, ALPHA)
         for step in range(3):
-            moved = network.node(network.node_ids[step])
-            moved.move_to(Point(200.0 + 40 * step, 300.0))
+            for twin in (network, oracle):
+                twin.node(twin.node_ids[step]).move_to(Point(200.0 + 40 * step, 300.0))
             incremental_manager.synchronize()
-            full_manager.synchronize(accelerated=False)
+            full_manager.synchronize()
             a = incremental_manager.topology(config=OptimizationConfig.shrink_only())
             b = full_manager.topology(
                 config=OptimizationConfig.shrink_only(), incremental=False
             )
             assert results_to_json(a) == results_to_json(b)
+
+
+def _joins_by_definition(manager, beacon_powers, alive):
+    """Join events from checking every alive ``(observer, subject)`` pair.
+
+    A pair is a join when the subject is not yet known to the observer and
+    ``can_reach(d) and reaches_with(beacon, d)`` holds.  Each observer's
+    list is in ``beacon_powers`` (subject) order.
+    """
+    network = manager.network
+    power_model = network.power_model
+    joins = {}
+    for subject, beacon in beacon_powers.items():
+        if subject not in alive:
+            continue
+        for observer in sorted(alive):
+            state = manager.outcome.states.get(observer)
+            if observer == subject or state is None:
+                continue
+            if subject in manager._known.get(observer, set(state.neighbor_ids)):
+                continue
+            distance = network.distance(observer, subject)
+            if power_model.can_reach(distance) and power_model.reaches_with(beacon, distance):
+                joins.setdefault(observer, []).append(
+                    JoinEvent(
+                        observer=observer,
+                        subject=subject,
+                        direction=network.direction(observer, subject),
+                        required_power=power_model.required_power(distance),
+                        distance=distance,
+                    )
+                )
+    return joins
+
+
+class TestJoinDetection:
+    """``_joins_by_observer`` against the all-pairs definition of a join."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        node_count=st.integers(min_value=2, max_value=30),
+        crashes=st.integers(min_value=0, max_value=3),
+        forget=st.floats(min_value=0.0, max_value=1.0),
+        data=st.data(),
+    )
+    def test_matches_all_pairs_definition(self, seed, node_count, crashes, forget, data):
+        network = random_uniform_placement(PlacementConfig(node_count=node_count), seed=seed)
+        manager = ReconfigurationManager(network, ALPHA)
+        for node_id in network.node_ids[:crashes]:
+            network.node(node_id).crash()
+        # Forget part of each node's NDP memory so unknown in-range pairs exist.
+        for node_id, known in manager._known.items():
+            for other in sorted(known):
+                if data.draw(st.floats(min_value=0.0, max_value=1.0)) < forget:
+                    known.discard(other)
+        alive = {node.node_id for node in network.nodes if node.alive}
+        power_model = network.power_model
+        beacon_powers = beacon_power_policy(manager.outcome, network)
+        for subject in sorted(beacon_powers):
+            # Beacons exactly at, and a hair below, the power needed to reach
+            # some other node put a partner right on the prefix cut-off.
+            other = data.draw(st.sampled_from(network.node_ids))
+            exact = power_model.required_power(network.distance(subject, other))
+            beacon_powers[subject] = data.draw(
+                st.sampled_from(
+                    [beacon_powers[subject], 0.0, power_model.max_power, exact, exact * (1 - 1e-12)]
+                )
+            )
+        expected = _joins_by_definition(manager, beacon_powers, alive)
+        scratch = manager._build_sync_scratch()
+        assert manager._joins_by_observer(beacon_powers, alive, scratch) == expected

@@ -3,13 +3,16 @@
 The uniform-grid index must be a pure accelerator: every construction that
 uses it (CBTC, the proximity-graph baselines, the reference graphs) has to
 produce *identical* output — same edges, same float lengths, same per-node
-radii/powers — as the brute-force scans it replaced.  These tests build twin
-networks over the same positions, one with ``use_spatial_index=True`` and
-one with ``False``, and compare outputs exactly (no tolerances).
+radii/powers — as it does over the linear-scan :class:`BruteForceIndex`.
+These tests build twin networks over the same positions, one on the grid and
+one on the oracle (the ``brute_force_twin`` fixture), and compare outputs
+exactly (no tolerances).  The baselines are also checked against their
+textbook O(n^3) / all-pairs definitions, written out below.
 """
 
 import math
 
+import networkx as nx
 import pytest
 
 from repro.baselines import (
@@ -21,7 +24,7 @@ from repro.baselines import (
 )
 from repro.core.cbtc import run_cbtc
 from repro.core.pipeline import OptimizationConfig, build_topology
-from repro.geometry import Point
+from repro.geometry import BruteForceIndex, Point, UniformGridIndex
 from repro.graphs.builders import unit_disk_graph
 from repro.net.network import Network
 from repro.net.node import Node
@@ -32,13 +35,18 @@ ALPHA = 5 * math.pi / 6
 SEEDS = [0, 1, 2, 13]
 
 
-def _twin_networks(seed, node_count=40):
-    """Two networks over identical positions: index-backed and brute-force."""
-    base = random_uniform_placement(PlacementConfig(node_count=node_count), seed=seed)
-    positions = [node.position.as_tuple() for node in base.nodes]
-    indexed = Network.from_positions(positions, power_model=base.power_model, use_spatial_index=True)
-    brute = Network.from_positions(positions, power_model=base.power_model, use_spatial_index=False)
-    return indexed, brute
+@pytest.fixture
+def twin_networks(brute_force_twin):
+    """``make(seed)``: two networks over identical positions, grid and oracle."""
+
+    def make(seed, node_count=40):
+        indexed = random_uniform_placement(PlacementConfig(node_count=node_count), seed=seed)
+        brute = brute_force_twin(indexed)
+        assert type(indexed.spatial_index()) is UniformGridIndex
+        assert type(brute.spatial_index()) is BruteForceIndex
+        return indexed, brute
+
+    return make
 
 
 def _edge_map(graph):
@@ -53,10 +61,60 @@ def _assert_identical_graphs(left, right):
     assert _edge_map(left) == _edge_map(right)  # exact float equality
 
 
+def _witness_graph(network, respect_max_range, blocks):
+    """Proximity graph by definition: every pair, every candidate witness.
+
+    Keeps ``(u, v)`` unless some third alive node ``w`` satisfies
+    ``blocks(d(u, v), d(u, w), d(v, w))`` — the O(n^3) scan the indexed
+    constructions must reproduce exactly.
+    """
+    nodes = network.alive_nodes()
+    max_range = network.power_model.max_range
+    graph = nx.Graph()
+    for node in nodes:
+        graph.add_node(node.node_id)
+    for i, u in enumerate(nodes):
+        for v in nodes[i + 1 :]:
+            d_uv = u.distance_to(v)
+            if respect_max_range and d_uv > max_range + 1e-12:
+                continue
+            if not any(
+                blocks(d_uv, u.distance_to(w), v.distance_to(w))
+                for w in nodes
+                if w.node_id not in (u.node_id, v.node_id)
+            ):
+                graph.add_edge(u.node_id, v.node_id, length=d_uv)
+    return graph
+
+
+def _gabriel_by_definition(network, respect_max_range):
+    return _witness_graph(
+        network, respect_max_range, lambda uv, uw, vw: uw ** 2 + vw ** 2 < uv ** 2 - 1e-9
+    )
+
+
+def _rng_by_definition(network, respect_max_range):
+    return _witness_graph(
+        network, respect_max_range, lambda uv, uw, vw: max(uw, vw) < uv - 1e-12
+    )
+
+
+def _mst_over_all_pairs(network):
+    """``nx.minimum_spanning_tree`` of the complete Euclidean graph."""
+    nodes = network.alive_nodes()
+    complete = nx.Graph()
+    for node in nodes:
+        complete.add_node(node.node_id)
+    for i, u in enumerate(nodes):
+        for v in nodes[i + 1 :]:
+            complete.add_edge(u.node_id, v.node_id, length=u.distance_to(v))
+    return nx.minimum_spanning_tree(complete, weight="length")
+
+
 class TestCBTCEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_outcomes_identical_with_and_without_index(self, seed):
-        indexed, brute = _twin_networks(seed)
+    def test_outcomes_identical_with_and_without_index(self, seed, twin_networks):
+        indexed, brute = twin_networks(seed)
         with_index = run_cbtc(indexed, ALPHA)
         without_index = run_cbtc(brute, ALPHA)
         assert with_index.node_ids() == without_index.node_ids()
@@ -75,16 +133,16 @@ class TestCBTCEquivalence:
                 assert record.distance == other.distance
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_full_pipeline_topologies_identical(self, seed):
-        indexed, brute = _twin_networks(seed)
+    def test_full_pipeline_topologies_identical(self, seed, twin_networks):
+        indexed, brute = twin_networks(seed)
         a = build_topology(indexed, ALPHA, config=OptimizationConfig.all())
         b = build_topology(brute, ALPHA, config=OptimizationConfig.all())
         _assert_identical_graphs(a.graph, b.graph)
         assert a.node_radius == b.node_radius
         assert a.node_power == b.node_power
 
-    def test_equivalence_with_dead_nodes(self):
-        indexed, brute = _twin_networks(5)
+    def test_equivalence_with_dead_nodes(self, twin_networks):
+        indexed, brute = twin_networks(5)
         for node_id in (3, 11, 17):
             indexed.node(node_id).crash()
             brute.node(node_id).crash()
@@ -96,44 +154,43 @@ class TestCBTCEquivalence:
 class TestBaselineEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("respect_max_range", [True, False])
-    def test_gabriel(self, seed, respect_max_range):
-        indexed, brute = _twin_networks(seed)
-        _assert_identical_graphs(
-            gabriel_graph(indexed, respect_max_range=respect_max_range),
-            gabriel_graph(brute, respect_max_range=respect_max_range),
-        )
+    def test_gabriel(self, seed, respect_max_range, twin_networks):
+        indexed, brute = twin_networks(seed)
+        graph = gabriel_graph(indexed, respect_max_range=respect_max_range)
+        _assert_identical_graphs(graph, gabriel_graph(brute, respect_max_range=respect_max_range))
+        _assert_identical_graphs(graph, _gabriel_by_definition(indexed, respect_max_range))
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("respect_max_range", [True, False])
-    def test_rng(self, seed, respect_max_range):
-        indexed, brute = _twin_networks(seed)
+    def test_rng(self, seed, respect_max_range, twin_networks):
+        indexed, brute = twin_networks(seed)
+        graph = relative_neighborhood_graph(indexed, respect_max_range=respect_max_range)
         _assert_identical_graphs(
-            relative_neighborhood_graph(indexed, respect_max_range=respect_max_range),
-            relative_neighborhood_graph(brute, respect_max_range=respect_max_range),
+            graph, relative_neighborhood_graph(brute, respect_max_range=respect_max_range)
         )
+        _assert_identical_graphs(graph, _rng_by_definition(indexed, respect_max_range))
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_mst_range_limited(self, seed):
-        indexed, brute = _twin_networks(seed)
+    def test_mst_range_limited(self, seed, twin_networks):
+        indexed, brute = twin_networks(seed)
         _assert_identical_graphs(
             euclidean_mst(indexed, respect_max_range=True),
             euclidean_mst(brute, respect_max_range=True),
         )
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_mst_complete_via_delaunay_candidates(self, seed):
+    def test_mst_complete_via_delaunay_candidates(self, seed, twin_networks):
         # Random placements have distinct pairwise distances, so the
         # Euclidean MST is unique and the Delaunay-restricted Kruskal must
-        # return exactly the brute-force tree.
-        indexed, brute = _twin_networks(seed)
-        _assert_identical_graphs(
-            euclidean_mst(indexed, respect_max_range=False),
-            euclidean_mst(brute, respect_max_range=False),
-        )
+        # return exactly the tree over all pairs.
+        indexed, brute = twin_networks(seed)
+        tree = euclidean_mst(indexed, respect_max_range=False)
+        _assert_identical_graphs(tree, euclidean_mst(brute, respect_max_range=False))
+        _assert_identical_graphs(tree, _mst_over_all_pairs(indexed))
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_yao_and_theta(self, seed):
-        indexed, brute = _twin_networks(seed)
+    def test_yao_and_theta(self, seed, twin_networks):
+        indexed, brute = twin_networks(seed)
         _assert_identical_graphs(yao_graph(indexed, k=6), yao_graph(brute, k=6))
         _assert_identical_graphs(theta_graph(indexed, k=6), theta_graph(brute, k=6))
 
@@ -142,42 +199,33 @@ class TestBaselineEquivalence:
         # "coplanar" and omits them from the triangulation; the Delaunay
         # fast path must fall back to the dense edge set for such inputs.
         points = [Point(0.0, 0.0), Point(1e-14, 0.0), Point(1.0, 0.5), Point(0.5, 1.0), Point(0.3, 0.4)]
-        indexed = Network.from_points(points, use_spatial_index=True)
-        brute = Network.from_points(points, use_spatial_index=False)
-        _assert_identical_graphs(
-            euclidean_mst(indexed, respect_max_range=False),
-            euclidean_mst(brute, respect_max_range=False),
-        )
-
-    def test_explicit_use_index_flag_overrides_network_default(self):
-        indexed, _ = _twin_networks(3)
-        _assert_identical_graphs(
-            gabriel_graph(indexed, use_index=False),
-            gabriel_graph(indexed, use_index=True),
-        )
+        network = Network.from_points(points)
+        tree = euclidean_mst(network, respect_max_range=False)
+        assert nx.is_connected(tree)
+        _assert_identical_graphs(tree, _mst_over_all_pairs(network))
 
 
 class TestNetworkQueryEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_max_power_graph(self, seed):
-        indexed, brute = _twin_networks(seed)
+    def test_max_power_graph(self, seed, twin_networks):
+        indexed, brute = twin_networks(seed)
         _assert_identical_graphs(indexed.max_power_graph(), brute.max_power_graph())
 
     @pytest.mark.parametrize("radius", [0.0, 120.0, 500.0, 900.0])
-    def test_neighbors_within(self, radius):
-        indexed, brute = _twin_networks(7)
+    def test_neighbors_within(self, radius, twin_networks):
+        indexed, brute = twin_networks(7)
         for node_id in indexed.node_ids:
             assert indexed.neighbors_within(node_id, radius) == brute.neighbors_within(node_id, radius)
 
     @pytest.mark.parametrize("radius", [130.0, 750.0])
-    def test_unit_disk_graph_custom_radius(self, radius):
-        indexed, brute = _twin_networks(9)
+    def test_unit_disk_graph_custom_radius(self, radius, twin_networks):
+        indexed, brute = twin_networks(9)
         _assert_identical_graphs(
             unit_disk_graph(indexed, radius), unit_disk_graph(brute, radius)
         )
 
-    def test_receivers_of_broadcast(self):
-        indexed, brute = _twin_networks(4)
+    def test_receivers_of_broadcast(self, twin_networks):
+        indexed, brute = twin_networks(4)
         max_power = indexed.power_model.max_power
         for power in (0.0, max_power / 64, max_power / 4, max_power, 2 * max_power):
             for sender in indexed.node_ids[:10]:
@@ -218,11 +266,11 @@ class TestIndexInvalidation:
         assert network._spatial_index is not None
         assert network.neighbors_within(0, 1.0) == []
 
-    def test_copy_preserves_flag_and_isolates_index(self):
-        indexed, brute = _twin_networks(2, node_count=10)
-        assert indexed.copy().use_spatial_index is True
-        assert brute.copy().use_spatial_index is False
-        duplicate = indexed.copy()
+    def test_copy_isolates_index(self):
+        network = random_uniform_placement(PlacementConfig(node_count=10), seed=2)
+        max_range = network.power_model.max_range
+        before = {node_id: network.neighbors_within(node_id, max_range) for node_id in network.node_ids}
+        duplicate = network.copy()
         duplicate.node(0).move_to(Point(-1e4, -1e4))
-        assert indexed.neighbors_within(0, indexed.power_model.max_range) == \
-            indexed.copy().neighbors_within(0, indexed.power_model.max_range)
+        assert duplicate.neighbors_within(0, max_range) == []
+        assert {node_id: network.neighbors_within(node_id, max_range) for node_id in network.node_ids} == before

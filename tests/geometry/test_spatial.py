@@ -1,10 +1,11 @@
 """Tests for the uniform-grid spatial index (repro.geometry.spatial).
 
 The index is an accelerator with an exactness contract: every query must
-return precisely what a brute-force scan with the repo-wide ``1e-12``
-distance tolerance returns, in ID-sorted order.  The property tests here
-drive that contract with random point sets, including points placed at
-distance *exactly* ``r`` from the query point.
+return precisely what the linear-scan :class:`BruteForceIndex` (the repo's
+spatial oracle, with the same ``1e-12`` distance tolerance) returns, in
+ID-sorted order.  The property tests here drive that contract with random
+point sets, including points placed at distance *exactly* ``r`` from the
+query point, and check the oracle itself against a scan written out inline.
 """
 
 import math
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.geometry import (
     DISTANCE_TOLERANCE,
+    BruteForceIndex,
     Point,
     UniformGridIndex,
     distances_from,
@@ -26,13 +28,6 @@ finite_coord = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False, allow_i
 point_lists = st.lists(st.tuples(finite_coord, finite_coord), min_size=0, max_size=40)
 
 
-def brute_force_within(points, query, radius, *, exclude=None):
-    qx, qy = query
-    return sorted(
-        key
-        for key, (x, y) in enumerate(points)
-        if key != exclude and math.hypot(x - qx, y - qy) <= radius + DISTANCE_TOLERANCE
-    )
 
 
 class TestNeighborsWithin:
@@ -45,7 +40,8 @@ class TestNeighborsWithin:
     )
     def test_matches_brute_force(self, points, query, radius, cell_size):
         index = UniformGridIndex(cell_size, enumerate(points))
-        assert index.neighbors_within(query, radius) == brute_force_within(points, query, radius)
+        oracle = BruteForceIndex(cell_size, enumerate(points))
+        assert index.neighbors_within(query, radius) == oracle.neighbors_within(query, radius)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -62,7 +58,7 @@ class TestNeighborsWithin:
         assert without == [k for k in full if k != 0]
 
     def test_boundary_point_at_exact_radius_included(self):
-        # Matches the `<= r + 1e-12` tolerance used by _candidate_neighbors
+        # Matches the `<= r + 1e-12` tolerance used by PowerModel.can_reach
         # and Network.neighbors_within: exactly-at-range points count.
         index = UniformGridIndex(1.0, [(0, (0.0, 0.0)), (1, (3.0, 0.0)), (2, (0.0, 3.0))])
         assert index.neighbors_within((0.0, 0.0), 3.0) == [0, 1, 2]
@@ -99,7 +95,7 @@ class TestNeighborsWithDistances:
     def test_distances_match_hypot_exactly(self, points, query, radius):
         index = UniformGridIndex(250.0, enumerate(points))
         result = index.neighbors_with_distances(query, radius)
-        assert [key for key, _ in result] == brute_force_within(points, query, radius)
+        assert result == BruteForceIndex(250.0, enumerate(points)).neighbors_with_distances(query, radius)
         qx, qy = query
         for key, dist in result:
             x, y = points[key]
@@ -123,6 +119,44 @@ class TestPairsWithin:
                 if d <= radius + DISTANCE_TOLERANCE:
                     expected.append((i, j, d))
         assert list(index.pairs_within(radius)) == expected
+        assert BruteForceIndex(cell_size, enumerate(points)).pairs_within(radius) == expected
+
+
+class TestBruteForceIndex:
+    """The oracle itself, against a scan written out inline."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        points=point_lists,
+        query=st.tuples(finite_coord, finite_coord),
+        radius=st.floats(min_value=-1.0, max_value=5e3, allow_nan=False),
+        exclude=st.one_of(st.none(), st.integers(min_value=0, max_value=40)),
+    )
+    def test_neighbors_match_inline_scan(self, points, query, radius, exclude):
+        qx, qy = query
+        expected = [
+            (key, math.hypot(x - qx, y - qy))
+            for key, (x, y) in enumerate(points)
+            if radius >= 0
+            and key != exclude
+            and math.hypot(x - qx, y - qy) <= radius + DISTANCE_TOLERANCE
+        ]
+        oracle = BruteForceIndex(1.0, enumerate(points))
+        assert oracle.neighbors_with_distances(query, radius, exclude=exclude) == expected
+        assert oracle.neighbors_within(query, radius, exclude=exclude) == [key for key, _ in expected]
+        assert oracle.neighbor_queries == 2
+
+    def test_membership_counters_and_errors(self):
+        oracle = BruteForceIndex(1.0, [(3, (0.0, 0.0)), (1, Point(5.0, 5.0))])
+        assert len(oracle) == 2 and 3 in oracle and 2 not in oracle
+        assert oracle.pairs_within(10.0) == [(1, 3, math.hypot(5.0, 5.0))]
+        assert oracle.pair_queries == 1
+        with pytest.raises(ValueError):
+            oracle.insert(1, (0.0, 0.0))
+        with pytest.raises(KeyError):
+            oracle.delete(42)
+        with pytest.raises(KeyError):
+            oracle.move(42, (0.0, 0.0))
 
 
 class TestConstruction:
@@ -171,33 +205,41 @@ class TestVectorizedHelpers:
 
 
 class TestDeltaUpdates:
-    """insert/delete/move must leave the index indistinguishable from a rebuild."""
+    """insert/delete/move must leave the index indistinguishable from a rebuild
+    and from the oracle that received the same updates."""
 
     def test_patched_index_matches_fresh_rebuild(self):
         rng = random.Random(17)
         points = {i: (rng.uniform(0, 1000), rng.uniform(0, 1000)) for i in range(60)}
         index = UniformGridIndex(100.0, points.items())
+        oracle = BruteForceIndex(100.0, points.items())
         for step in range(120):
             op = rng.choice(["move", "insert", "delete"])
             if op == "move" and points:
                 key = rng.choice(sorted(points))
                 points[key] = (rng.uniform(0, 1000), rng.uniform(0, 1000))
                 index.move(key, points[key])
+                oracle.move(key, points[key])
             elif op == "insert":
                 key = 1000 + step
                 points[key] = (rng.uniform(0, 1000), rng.uniform(0, 1000))
                 index.insert(key, points[key])
+                oracle.insert(key, points[key])
             elif points:
                 key = rng.choice(sorted(points))
                 del points[key]
                 index.delete(key)
+                oracle.delete(key)
         fresh = UniformGridIndex(100.0, points.items())
         assert index.keys() == fresh.keys()
+        assert len(oracle) == len(index)
         for radius in (0.0, 75.0, 150.0, 400.0):
             query = (rng.uniform(0, 1000), rng.uniform(0, 1000))
-            assert index.neighbors_within(query, radius) == fresh.neighbors_within(query, radius)
-            assert index.neighbors_with_distances(query, radius) == fresh.neighbors_with_distances(query, radius)
-        assert index.pairs_within(150.0) == fresh.pairs_within(150.0)
+            for reference in (fresh, oracle):
+                assert index.neighbors_within(query, radius) == reference.neighbors_within(query, radius)
+                assert index.neighbors_with_distances(query, radius) == \
+                    reference.neighbors_with_distances(query, radius)
+        assert index.pairs_within(150.0) == fresh.pairs_within(150.0) == oracle.pairs_within(150.0)
 
     def test_mutations_drop_the_pair_cache(self):
         index = UniformGridIndex(100.0, [(1, (0.0, 0.0)), (2, (50.0, 0.0))])

@@ -69,8 +69,7 @@ class TestPhysicalQueries:
         square_network.node(1).crash()
         receivers = square_network.receivers_of_broadcast(0, 2.0)
         assert 1 not in receivers
-        receivers_including_dead = square_network.receivers_of_broadcast(0, 2.0, include_dead=True)
-        assert 1 in receivers_including_dead
+        assert 3 in receivers
 
     def test_neighbors_within(self, line_network):
         assert line_network.neighbors_within(2, 0.9) == [1, 3]

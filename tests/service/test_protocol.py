@@ -36,30 +36,38 @@ class TestResponses:
         assert response == {"id": None, "ok": False, "error": "boom"}
 
 
+def _message(request):
+    """The message part of ``envelope_problem``; ``None`` when well-formed."""
+    problem = protocol.envelope_problem(request)
+    if problem is None:
+        return None
+    message, code = problem
+    assert code is None  # only version problems carry a structured code
+    return message
+
+
 class TestValidation:
     def test_well_formed_world_op(self):
-        assert protocol.validate_request({"op": "advance", "world": "w"}) is None
+        assert protocol.envelope_problem({"op": "advance", "world": "w"}) is None
 
     def test_well_formed_frontend_op(self):
-        assert protocol.validate_request({"op": "ping"}) is None
+        assert protocol.envelope_problem({"op": "ping"}) is None
 
     def test_missing_op(self):
-        assert "missing" in protocol.validate_request({"world": "w"})
+        assert "missing" in _message({"world": "w"})
 
     def test_unknown_op(self):
-        assert "unknown op" in protocol.validate_request({"op": "frobnicate"})
+        assert "unknown op" in _message({"op": "frobnicate"})
 
     def test_world_op_requires_world(self):
-        problem = protocol.validate_request({"op": "query_stats"})
-        assert "requires" in problem
+        assert "requires" in _message({"op": "query_stats"})
 
     def test_world_must_be_nonempty_string(self):
-        assert protocol.validate_request({"op": "advance", "world": ""}) is not None
-        assert protocol.validate_request({"op": "advance", "world": 3}) is not None
+        assert _message({"op": "advance", "world": ""}) is not None
+        assert _message({"op": "advance", "world": 3}) is not None
 
     def test_params_must_be_object(self):
-        problem = protocol.validate_request({"op": "advance", "world": "w", "params": [1]})
-        assert "params" in problem
+        assert "params" in _message({"op": "advance", "world": "w", "params": [1]})
 
     def test_op_partition_is_total_and_disjoint(self):
         assert not (protocol.WORLD_OPS & protocol.FRONTEND_OPS)
