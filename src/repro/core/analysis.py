@@ -57,15 +57,33 @@ def preserves_connectivity(reference: nx.Graph, candidate: nx.Graph) -> bool:
 
 
 def _partition_labels(items, edges) -> Dict:
-    """Each item mapped to the smallest member of its connected block."""
-    forest = nx.utils.UnionFind(items)
+    """Each item mapped to the smallest member of its connected block.
+
+    A flat union-find: a union hangs the larger root under the smaller one,
+    so every root is the minimum of its block and is the label itself.
+    Paths are halved on every walk up.  Edge endpoints missing from
+    ``items`` join the partition as well.
+    """
+    parent = {item: item for item in items}
     for u, v in edges:
-        forest.union(u, v)
-    labels: Dict = {}
-    for block in forest.to_sets():
-        representative = min(block)
-        for item in block:
-            labels[item] = representative
+        up = parent.setdefault(u, u)
+        while up != u:
+            parent[u] = grand = parent[up]
+            u, up = grand, parent[grand]
+        up = parent.setdefault(v, v)
+        while up != v:
+            parent[v] = grand = parent[up]
+            v, up = grand, parent[grand]
+        if u < v:
+            parent[v] = u
+        elif v < u:
+            parent[u] = v
+    labels = {}
+    for item in parent:
+        root = parent[item]
+        while parent[root] != root:
+            root = parent[root]
+        labels[item] = root
     return labels
 
 

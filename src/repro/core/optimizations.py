@@ -21,12 +21,19 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Dict, List, Set, Tuple
 
 import networkx as nx
 
-from repro.geometry.angles import TWO_PI, angular_gaps_of_sorted, arcs_equal, cover
+from repro.geometry.angles import (
+    TWO_PI,
+    angular_gaps_of_sorted,
+    arcs_equal,
+    cover,
+    max_angular_gap_of_sorted,
+)
 from repro.net.network import Network
 from repro.net.node import NodeId
 from repro.core.constants import (
@@ -76,45 +83,93 @@ def shrink_back_node(state: NodeState) -> NodeState:
     Neighbours are grouped by their discovery-power tag; starting from the
     highest tag, whole groups are removed as long as the alpha-coverage of
     the remaining directions equals the original coverage.  The node's final
-    power is reduced to the highest surviving tag (or the power needed to
-    reach the farthest surviving neighbour, whichever is larger).
+    power becomes the power needed to reach the farthest surviving neighbour.
+    Returns a new state whose neighbour mapping keeps the original record
+    order (an empty state is returned as is).
     """
-    if not state.neighbors:
+    neighbors = state.neighbors
+    if not neighbors:
         return state
-    original_directions = state.directions
-    # The reference coverage is the same for every candidate prefix; compute
-    # its merged arcs once instead of once per keep_count.  Directions stored
-    # in neighbour records come from Point.angle_to, hence are normalized.
-    original_arcs = cover(original_directions, state.alpha, normalized=True)
-    # ``cover`` returns this exact literal for fully covered circles, so the
-    # comparison is an exact one (no tolerance games).
-    original_is_full_circle = original_arcs == [(0.0, TWO_PI)]
-    levels = sorted({record.discovery_power for record in state.neighbors.values()})
-    # Try to keep only the neighbours discovered at the first i levels, for the
-    # smallest i that preserves coverage.
-    for keep_count in range(1, len(levels) + 1):
-        # Discovery tags are exactly the level values, so the prefix set
-        # membership test reduces to a threshold comparison.
-        level_threshold = levels[keep_count - 1]
-        kept_records = [
-            record for record in state.neighbors.values() if record.discovery_power <= level_threshold
-        ]
-        kept_directions = [record.direction for record in kept_records]
-        if _coverage_matches(kept_directions, original_arcs, original_is_full_circle, state.alpha):
-            shrunk = NodeState(
-                node_id=state.node_id,
-                alpha=state.alpha,
-                final_power=max(
-                    max(record.required_power for record in kept_records),
-                    0.0,
-                ),
-                used_max_power=state.used_max_power,
-                rounds=state.rounds,
-            )
-            for record in kept_records:
-                shrunk.add_neighbor(record)
-            return shrunk
-    return state
+    alpha = state.alpha
+    records = neighbors.values()
+    levels = sorted({record.discovery_power for record in records})
+    keep = len(levels)
+    # Directions stored in neighbour records come from Point.angle_to, hence
+    # are normalized.
+    directions = sorted([record.direction for record in records])
+    largest = max_angular_gap_of_sorted(directions)
+    if largest <= alpha + 1e-12:
+        keep = _smallest_full_circle_prefix(records, levels, directions, largest, alpha)
+    elif keep > 1:
+        original_arcs = cover(directions, alpha, normalized=True)
+        for count in range(1, keep):
+            kept_directions = _prefix_directions(records, levels[count - 1])
+            if _coverage_matches(kept_directions, original_arcs, False, alpha):
+                keep = count
+                break
+    if keep == len(levels):
+        kept = dict(neighbors)
+    else:
+        threshold = levels[keep - 1]
+        kept = {key: record for key, record in neighbors.items() if record.discovery_power <= threshold}
+    return NodeState(
+        node_id=state.node_id,
+        alpha=alpha,
+        neighbors=kept,
+        final_power=max(max([record.required_power for record in kept.values()]), 0.0),
+        used_max_power=state.used_max_power,
+        rounds=state.rounds,
+    )
+
+
+def _prefix_directions(records, threshold: float) -> List[float]:
+    """Directions of the records discovered at a level up to ``threshold``."""
+    return [record.direction for record in records if record.discovery_power <= threshold]
+
+
+def _smallest_full_circle_prefix(
+    records, levels: List[float], directions: List[float], largest: float, alpha: float
+) -> int:
+    """The smallest level count whose prefix matches full-circle coverage.
+
+    ``directions`` holds all records' directions, sorted; their largest
+    gap, ``largest``, covers the circle.  The list is consumed.  Adding
+    levels to a prefix never widens its largest gap, so the prefixes that
+    cover the circle are those above some count: walk down from all
+    levels, deleting one level's directions at a time and tracking the
+    largest gap from the gaps the deletions merge (a merged gap is never
+    narrower, in floating point too, than the gaps it swallows).  Below
+    that count, prefixes whose largest gap still lies within
+    :func:`_coverage_matches`' tolerance band form a contiguous run; only
+    those need the exact comparison, smallest count first.
+    """
+    keep = band = len(levels)
+    while band > 1:
+        level = levels[band - 1]
+        for direction in [record.direction for record in records if record.discovery_power == level]:
+            i = bisect.bisect_left(directions, direction)
+            del directions[i]
+            # The gap the deletion opens, computed exactly as
+            # max_angular_gap_of_sorted computes it on the shorter list.
+            if 0 < i < len(directions):
+                merged = directions[i] - directions[i - 1]
+            else:
+                merged = TWO_PI - directions[-1] + directions[0]
+            if merged > largest:
+                largest = merged
+        if len(directions) < 2:
+            largest = TWO_PI
+        if largest <= alpha + 1e-12:
+            keep = band = band - 1
+        elif largest - alpha <= 2.5e-9:
+            band -= 1
+        else:
+            break
+    for count in range(band, keep):
+        kept_directions = _prefix_directions(records, levels[count - 1])
+        if _coverage_matches(kept_directions, [(0.0, TWO_PI)], True, alpha):
+            return count
+    return keep
 
 
 def shrink_back(outcome: CBTCOutcome) -> CBTCOutcome:

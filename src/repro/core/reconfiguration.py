@@ -29,9 +29,8 @@ two re-approaching partitions could never hear each other.
 
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import AbstractSet, Dict, List, Optional, Set, Tuple
 
 from repro.geometry.angles import angle_difference
 from repro.net.network import Network
@@ -77,19 +76,8 @@ class AngleChangeEvent:
 ReconfigurationEvent = object  # union of the three event dataclasses
 
 
-@dataclass
-class _SyncScratch:
-    """Loop-invariant geometry shared by the iterations of one synchronize.
-
-    ``reach[u][v]`` holds the distance for every alive in-range pair (both
-    directions); ``sorted_reach[u]`` the same partners as parallel
-    distance-sorted lists (for beacon-prefix queries); ``directions`` is a
-    lazily filled ``direction(u, v)`` memo.
-    """
-
-    reach: Dict[NodeId, Dict[NodeId, float]]
-    sorted_reach: Dict[NodeId, Tuple[List[float], List[NodeId]]]
-    directions: Dict[Tuple[NodeId, NodeId], float] = field(default_factory=dict)
+#: Per alive node, the distance to every alive node within maximum range.
+Reach = Dict[NodeId, Dict[NodeId, float]]
 
 
 def beacon_power_policy(
@@ -107,40 +95,132 @@ def beacon_power_policy(
 
     The ``E_alpha`` adjacency (the symmetric closure of the neighbour
     relation) is accumulated directly from the per-node records rather than
-    through a ``networkx`` graph — this runs once per synchronization
-    iteration and once per epoch for battery accounting, so the constant
-    factor matters at scale.  ``distances`` optionally supplies precomputed
-    pairwise distances (the synchronizer's in-range scratch); missing pairs
-    fall back to the geometric computation, so the values are identical to
-    the historic graph-based version either way.
+    through a ``networkx`` graph.  ``distances`` optionally supplies
+    precomputed pairwise distances (the synchronizer's in-range scratch);
+    missing pairs fall back to the geometric computation, so the values are
+    identical to the historic graph-based version either way.
     """
+    closure = _closure(outcome)
+    return {
+        state.node_id: _beacon_power(state, closure[state.node_id], network, distances)
+        for state in outcome
+    }
+
+
+def _closure(outcome: CBTCOutcome) -> Dict[NodeId, Set[NodeId]]:
+    """The symmetric closure of the neighbour relation, per node."""
     closure: Dict[NodeId, Set[NodeId]] = {state.node_id: set() for state in outcome}
     for state in outcome:
         for neighbor in state.neighbors:
             closure[state.node_id].add(neighbor)
             closure.setdefault(neighbor, set()).add(state.node_id)
-    powers: Dict[NodeId, float] = {}
-    max_power = network.power_model.max_power
-    empty: Dict[NodeId, float] = {}
-    for state in outcome:
-        node_id = state.node_id
-        neighbors = closure[node_id]
-        if neighbors:
-            if distances is not None:
-                known = distances.get(node_id, empty)
-                radius = max(
-                    known.get(other) or network.distance(node_id, other)
-                    for other in neighbors
-                )
-            else:
-                radius = max(network.distance(node_id, other) for other in neighbors)
-            power = network.power_model.required_power(radius)
+    return closure
+
+
+_NO_DISTANCES: Dict[NodeId, float] = {}
+
+
+def _beacon_power(
+    state: NodeState,
+    neighbors: Set[NodeId],
+    network: Network,
+    distances: Optional[Reach],
+) -> float:
+    """One node's beacon power, given its ``E_alpha`` neighbours."""
+    node_id = state.node_id
+    power = 0.0
+    if neighbors:
+        if distances is not None:
+            known = distances.get(node_id, _NO_DISTANCES)
+            radius = max(
+                known.get(other) or network.distance(node_id, other) for other in neighbors
+            )
         else:
-            power = 0.0
-        if state.is_boundary or state.used_max_power and state.has_gap():
-            power = max_power
-        powers[node_id] = power
-    return powers
+            radius = max(network.distance(node_id, other) for other in neighbors)
+        power = network.power_model.required_power(radius)
+    if state.is_boundary:
+        power = network.power_model.max_power
+    return power
+
+
+def _reception_bound(network: Network, power: float) -> float:
+    """A distance beyond which a beacon of ``power`` reaches nobody.
+
+    Over-approximates the reception radius (same trick as
+    ``Network.receivers_of_broadcast``), so ``distance > bound`` rules a
+    receiver out without evaluating ``reaches_with``.
+    """
+    return network.power_model.range_for_power(power * (1.0 + 1e-9)) + 1e-9
+
+
+class _BeaconPowers:
+    """Beacon powers across the iterations of one synchronize.
+
+    Built with :func:`beacon_power_policy`'s rules; :meth:`refresh` then
+    re-derives only the powers an iteration's events can have changed.  A
+    node's power depends on its own state and its ``E_alpha`` neighbours,
+    and applying an event rewrites only the observer's state, so only the
+    observers and their old and new neighbours need a new value.
+    """
+
+    def __init__(
+        self,
+        outcome: CBTCOutcome,
+        network: Network,
+        distances: Reach,
+    ) -> None:
+        self.network = network
+        self.distances = distances
+        self.closure = _closure(outcome)
+        self.powers = {
+            state.node_id: _beacon_power(state, self.closure[state.node_id], network, distances)
+            for state in outcome
+        }
+        # Subjects' join order; the outcome's key order is fixed while it runs.
+        self.rank = {node: rank for rank, node in enumerate(self.powers)}
+        self.bounds = {node: _reception_bound(network, power) for node, power in self.powers.items()}
+
+    def refresh(
+        self, outcome: CBTCOutcome, before: Dict[NodeId, List[NodeId]]
+    ) -> List[Tuple[NodeId, float]]:
+        """Update after the observers in ``before`` changed state.
+
+        ``before`` maps each changed observer to its neighbour ids before the
+        change.  Returns ``(node, previous power)`` for every power that
+        changed.  The key order of ``powers`` (the outcome's) is kept.
+        """
+        closure = self.closure
+        states = outcome.states
+        affected: Dict[NodeId, None] = {}
+        for node, old_ids in before.items():
+            affected[node] = None
+            old = set(old_ids)
+            new = states[node].neighbors
+            for other in old_ids:
+                affected[other] = None
+                if other in new:
+                    continue
+                other_state = states.get(other)
+                if other_state is None or node not in other_state.neighbors:
+                    closure[node].discard(other)
+                    closure[other].discard(node)
+            for other in new:
+                affected[other] = None
+                if other not in old:
+                    closure[node].add(other)
+                    closure.setdefault(other, set()).add(node)
+        changed: List[Tuple[NodeId, float]] = []
+        for node in affected:
+            state = states.get(node)
+            if state is None:
+                continue
+            power = _beacon_power(state, closure[node], self.network, self.distances)
+            previous = self.powers[node]
+            if power != previous:
+                self.powers[node] = power
+                self.bounds[node] = _reception_bound(self.network, power)
+                changed.append((node, previous))
+        return changed
 
 
 class ReconfigurationManager:
@@ -154,6 +234,10 @@ class ReconfigurationManager:
         outcome: Optional[CBTCOutcome] = None,
         angle_threshold: float = 0.05,
     ) -> None:
+        if not angle_threshold >= 0.0:
+            # A record refreshed to the current direction must never count
+            # as an angle change; synchronize relies on it.
+            raise ValueError(f"angle_threshold must be non-negative (got {angle_threshold!r})")
         self.network = network
         self.alpha = alpha
         self.angle_threshold = angle_threshold
@@ -279,7 +363,7 @@ class ReconfigurationManager:
             discovery_power=discovery,
             distance=event.distance,
         )
-        if state.has_gap() and not state.used_max_power:
+        if not state.used_max_power and state.has_gap():
             self._rerun(event.observer, from_power=previous_power)
         else:
             self.outcome.states[event.observer] = shrink_back_node(state)
@@ -298,155 +382,191 @@ class ReconfigurationManager:
     # ------------------------------------------------------------------ #
     # Centralized synchronization against ground truth
     # ------------------------------------------------------------------ #
-    def _build_sync_scratch(self) -> _SyncScratch:
-        """Precompute geometry shared by every iteration of one synchronize.
+    def _reach(self) -> Reach:
+        """The in-range distances shared by every iteration of one synchronize.
 
         Node positions are static *within* a synchronize call — only states
         and NDP memory evolve as events are applied — so the alive in-range
-        pair set, the pairwise distances and the pairwise directions are all
-        loop invariants.  One ``pairs_within(max_range)`` enumeration (the
-        same memoized pair set the epoch's measurement phase reuses) feeds
-        every iteration's forget/leave/angle/join checks.  Its tolerance
-        matches ``can_reach`` exactly (``d <= R + 1e-12``), so an alive pair
-        is in ``reach`` iff the two nodes can communicate.
+        pair set and the pairwise distances are loop invariants.  One
+        ``pairs_within(max_range)`` enumeration (the same memoized pair set
+        the epoch's measurement phase reuses) feeds every iteration's
+        forget/leave/angle/join checks.  Its tolerance matches ``can_reach``
+        exactly (``d <= R + 1e-12``), so an alive pair is in ``reach`` iff
+        the two nodes can communicate.
         """
         network = self.network
-        reach: Dict[NodeId, Dict[NodeId, float]] = {}
+        reach: Reach = {}
         for u, v, dist in network.spatial_index().pairs_within(network.power_model.max_range):
             reach.setdefault(u, {})[v] = dist
             reach.setdefault(v, {})[u] = dist
-        sorted_reach: Dict[NodeId, Tuple[List[float], List[NodeId]]] = {}
-        for u, partners in reach.items():
-            ordered = sorted((dist, other) for other, dist in partners.items())
-            sorted_reach[u] = ([dist for dist, _ in ordered], [other for _, other in ordered])
-        return _SyncScratch(reach=reach, sorted_reach=sorted_reach)
+        return reach
 
-    def _joins_by_observer(
+    def _joins(
         self,
-        beacon_powers: Dict[NodeId, float],
+        observer: NodeId,
+        known: Set[NodeId],
+        beacons: _BeaconPowers,
         alive: Set[NodeId],
-        scratch: _SyncScratch,
-    ) -> Dict[NodeId, List[JoinEvent]]:
-        """Join events per observer, computed subject-first.
+        reach: Reach,
+        candidates: Optional[List[NodeId]] = None,
+    ) -> List[JoinEvent]:
+        """The join events ``observer`` receives, in ``beacons.powers`` order.
 
-        A pair ``(observer, subject)`` of distinct alive nodes is a join when
-        the subject is not yet known to the observer and
-        ``can_reach(d) and reaches_with(beacon_power, d)`` holds.  Rather
-        than testing every alive pair, each subject's candidates are a
-        distance-sorted prefix of its precomputed in-range list: its beacon
-        only reaches nodes within ``range_for_power`` of its beacon power.
-        The exact predicate is then applied to each candidate, and subjects
-        are visited in ``beacon_powers`` order, so each observer's join list
-        (events, floats and order) equals the all-pairs definition
-        (property-tested).
+        A subject joins when it is alive, the observer has not heard from it
+        (it is not in ``known``) and its beacon reaches the observer:
+        ``reaches_with(beacon_power, d)``, which implies ``can_reach(d)``.
+        Only in-range partners can pass; ``candidates`` narrows them further
+        (by default every in-range partner is tested).
         """
         power_model = self.network.power_model
-        joins: Dict[NodeId, List[JoinEvent]] = {}
-        states = self.outcome.states
-        known_of = self._known
-        for subject, beacon_power in beacon_powers.items():
-            if subject not in alive:
+        bounds = beacons.bounds
+        in_range = reach.get(observer, _NO_DISTANCES)
+        # Most unknown partners lie beyond their beacon's reach; the bound
+        # rejects them before the power predicate is evaluated (a node
+        # without a state has no beacon, hence no bound).
+        unknown = [
+            subject
+            for subject in (in_range if candidates is None else candidates)
+            if in_range[subject] <= bounds.get(subject, -1.0) and subject not in known
+        ]
+        subjects = [
+            subject
+            for subject in unknown
+            if subject in alive
+            and power_model.reaches_with(beacons.powers[subject], in_range[subject])
+        ]
+        subjects.sort(key=beacons.rank.__getitem__)
+        return [
+            JoinEvent(
+                observer=observer,
+                subject=subject,
+                direction=self.network.direction(observer, subject),
+                required_power=power_model.required_power(in_range[subject]),
+                distance=in_range[subject],
+            )
+            for subject in subjects
+        ]
+
+    def _newly_reached(
+        self,
+        changed: List[Tuple[NodeId, float]],
+        beacons: _BeaconPowers,
+        reach: Reach,
+    ) -> Dict[NodeId, List[NodeId]]:
+        """Per observer, the subjects whose beacon now reaches it but did not before.
+
+        ``changed`` holds ``(subject, previous power)`` for every beacon
+        power that changed.  A lower power never reaches more, so only
+        raised powers are scanned.
+        """
+        power_model = self.network.power_model
+        reached: Dict[NodeId, List[NodeId]] = {}
+        for subject, previous in changed:
+            power = beacons.powers[subject]
+            if power <= previous:
                 continue
-            distances, partners = scratch.sorted_reach.get(subject, ([], []))
-            # Over-approximate the reception radius so the prefix cut-off
-            # never drops a node the exact predicate below would accept
-            # (same trick as Network.receivers_of_broadcast).
-            bound = power_model.range_for_power(beacon_power * (1.0 + 1e-9)) + 1e-9
-            cutoff = bisect.bisect_right(distances, bound)
-            for i, observer in enumerate(partners[:cutoff]):
-                state = states.get(observer)
-                if state is None:
-                    continue
-                known = known_of.get(observer)
-                if known is None:
-                    known = known_of.setdefault(observer, set(state.neighbor_ids))
-                if subject in known:
-                    continue
-                distance = distances[i]
-                if power_model.can_reach(distance) and power_model.reaches_with(
-                    beacon_power, distance
+            bound = beacons.bounds[subject]
+            for observer, distance in reach.get(subject, _NO_DISTANCES).items():
+                if (
+                    distance <= bound
+                    and power_model.reaches_with(power, distance)
+                    and not power_model.reaches_with(previous, distance)
                 ):
-                    joins.setdefault(observer, []).append(
-                        JoinEvent(
-                            observer=observer,
-                            subject=subject,
-                            direction=self._direction(observer, subject, scratch),
-                            required_power=power_model.required_power(distance),
-                            distance=distance,
-                        )
-                    )
-        return joins
+                    reached.setdefault(observer, []).append(subject)
+        return reached
 
-    def _direction(self, u: NodeId, v: NodeId, scratch: _SyncScratch) -> float:
-        """``direction(u, v)``, memoized per synchronize call (static geometry)."""
-        key = (u, v)
-        cached = scratch.directions.get(key)
-        if cached is None:
-            cached = self.network.direction(u, v)
-            scratch.directions[key] = cached
-        return cached
+    def _detect_events(
+        self,
+        reach: Reach,
+        beacons: _BeaconPowers,
+        alive: Set[NodeId],
+        reached: Optional[Dict[NodeId, List[NodeId]]] = None,
+        rebuilt: AbstractSet[NodeId] = frozenset(),
+    ) -> List[ReconfigurationEvent]:
+        """Derive the events a beaconing NDP would deliver in the current geometry.
 
-    def _detect_events(self, scratch: _SyncScratch) -> List[ReconfigurationEvent]:
-        """Derive the events a beaconing NDP would deliver in the current geometry."""
+        Without ``reached`` every alive observer is fully checked.  With it
+        (a later pass of :meth:`synchronize`), only the observers in
+        ``rebuilt`` get their recorded neighbours re-checked, and joins are
+        looked for only among the subjects ``reached`` lists per observer.
+        Observers are visited in outcome order.
+        """
         events: List[ReconfigurationEvent] = []
-        network = self.network
-        power_model = network.power_model
-        beacon_powers = beacon_power_policy(self.outcome, network, distances=scratch.reach)
-        alive: Set[NodeId] = {node.node_id for node in network.nodes if node.alive}
-        joins_by_observer = self._joins_by_observer(beacon_powers, alive, scratch)
-        empty: Dict[NodeId, float] = {}
-
         for state in list(self.outcome):
             observer = state.node_id
             if observer not in alive:
                 continue
-            in_range = scratch.reach.get(observer, empty)
+            candidates = None
+            if reached is not None:
+                candidates = reached.get(observer)
+                if candidates is None and observer not in rebuilt:
+                    continue
             known = self._known.get(observer)
             if known is None:
                 known = self._known.setdefault(observer, set(state.neighbor_ids))
-            # Forget heard-from nodes that are gone or out of range, so that a
-            # node which moves away and later returns produces a fresh join.
-            for other_id in list(known):
-                if other_id not in state.neighbors and other_id not in in_range:
-                    known.discard(other_id)
-            # Leaves: recorded neighbours that died or moved out of maximum range.
-            for neighbor_id in state.neighbor_ids:
-                distance = in_range.get(neighbor_id)
-                if distance is None:
-                    events.append(LeaveEvent(observer=observer, subject=neighbor_id))
-                    continue
-                # The neighbour is still reachable: silently refresh its
-                # distance/power bookkeeping and emit an angle-change event
-                # when its direction moved beyond the detection threshold.
-                current_direction = self._direction(observer, neighbor_id, scratch)
-                recorded = state.neighbors[neighbor_id]
-                if angle_difference(current_direction, recorded.direction) > self.angle_threshold:
-                    events.append(
-                        AngleChangeEvent(
-                            observer=observer,
-                            subject=neighbor_id,
-                            new_direction=current_direction,
-                            required_power=power_model.required_power(distance),
-                            distance=distance,
-                        )
-                    )
-                elif abs(distance - recorded.distance) > 1e-9:
-                    # A silent distance refresh still rewrites the record, so
-                    # the incremental topology pipeline must see this node as
-                    # touched even though no event is emitted.
-                    self._touched.add(observer)
-                    state.neighbors[neighbor_id] = NeighborRecord(
-                        neighbor=neighbor_id,
-                        direction=recorded.direction,
+            if reached is None or observer in rebuilt:
+                self._neighbor_events(state, known, reach, events)
+            if reached is None or candidates is not None:
+                # Joins: nodes whose beacon reaches the observer but that
+                # the observer has not heard from.
+                events.extend(self._joins(observer, known, beacons, alive, reach, candidates))
+        return events
+
+    def _neighbor_events(
+        self,
+        state: NodeState,
+        known: Set[NodeId],
+        reach: Reach,
+        events: List[ReconfigurationEvent],
+    ) -> None:
+        """Append one observer's leave and angle-change events to ``events``.
+
+        Also forgets heard-from nodes that left and silently refreshes the
+        distances of recorded neighbours that stayed.
+        """
+        observer = state.node_id
+        power_model = self.network.power_model
+        in_range = reach.get(observer, _NO_DISTANCES)
+        neighbors = state.neighbors
+        # Forget heard-from nodes that are gone or out of range, so that a
+        # node which moves away and later returns produces a fresh join.
+        stale = known.difference(in_range)
+        if stale:
+            stale.difference_update(neighbors)
+            known.difference_update(stale)
+        # Leaves: recorded neighbours that died or moved out of maximum range.
+        for neighbor_id in sorted(neighbors):
+            distance = in_range.get(neighbor_id)
+            if distance is None:
+                events.append(LeaveEvent(observer=observer, subject=neighbor_id))
+                continue
+            # The neighbour is still reachable: silently refresh its
+            # distance/power bookkeeping and emit an angle-change event when
+            # its direction moved beyond the detection threshold.
+            current_direction = self.network.direction(observer, neighbor_id)
+            recorded = neighbors[neighbor_id]
+            if angle_difference(current_direction, recorded.direction) > self.angle_threshold:
+                events.append(
+                    AngleChangeEvent(
+                        observer=observer,
+                        subject=neighbor_id,
+                        new_direction=current_direction,
                         required_power=power_model.required_power(distance),
-                        discovery_power=recorded.discovery_power,
                         distance=distance,
                     )
-            # Joins: nodes whose beacon reaches the observer but that the
-            # observer has not heard from (precomputed subject-first; see
-            # _joins_by_observer).
-            events.extend(joins_by_observer.get(observer, ()))
-        return events
+                )
+            elif abs(distance - recorded.distance) > 1e-9:
+                # A silent distance refresh still rewrites the record, so the
+                # incremental topology pipeline must see this node as touched
+                # even though no event is emitted.
+                self._touched.add(observer)
+                neighbors[neighbor_id] = NeighborRecord(
+                    neighbor=neighbor_id,
+                    direction=recorded.direction,
+                    required_power=power_model.required_power(distance),
+                    discovery_power=recorded.discovery_power,
+                    distance=distance,
+                )
 
     def synchronize(self, *, max_iterations: int = 20) -> int:
         """Apply detected events until quiescence; return iterations used.
@@ -455,6 +575,13 @@ class ReconfigurationManager:
         Raises ``RuntimeError`` if the loop does not stabilize within
         ``max_iterations`` — with a finite node set and monotone power levels
         this indicates a bug rather than a legitimate oscillation.
+
+        The first iteration fully checks every observer.  A later one
+        re-checks recorded neighbours only where an event of the previous
+        iteration re-ran the growing phase, and looks for joins only among
+        the subjects whose beacon power rose enough to newly reach an
+        observer.  It finds exactly the events a full pass would; README
+        ("Inside synchronize") has the argument.
         """
         alive = {node.node_id for node in self.network.nodes if node.alive}
         for node_id in list(self.outcome.states):
@@ -469,15 +596,28 @@ class ReconfigurationManager:
                 self._rerun(node_id, from_power=0.0)
 
         # Geometry is static for the whole synchronize call, so the in-range
-        # pair set, distances and directions are computed once and shared by
-        # every detection iteration (see _build_sync_scratch).
-        scratch = self._build_sync_scratch()
+        # pair set and distances are computed once and shared by every
+        # detection iteration (see _reach).
+        reach = self._reach()
+        beacons = _BeaconPowers(self.outcome, self.network, reach)
+        reached: Optional[Dict[NodeId, List[NodeId]]] = None
+        rebuilt: Set[NodeId] = set()
         for iteration in range(1, max_iterations + 1):
-            events = self._detect_events(scratch)
+            events = self._detect_events(reach, beacons, alive, reached, rebuilt)
             if not events:
                 return iteration - 1
+            # Each observer's neighbour ids before its events, for the beacon refresh.
+            before: Dict[NodeId, List[NodeId]] = {}
             for event in events:
+                if event.observer not in before:
+                    before[event.observer] = list(self.outcome.states[event.observer].neighbors)
+            rebuilt = set()
+            for event in events:
+                reruns = self.reruns
                 self.apply(event)
+                if self.reruns != reruns:
+                    rebuilt.add(event.observer)
+            reached = self._newly_reached(beacons.refresh(self.outcome, before), beacons, reach)
         raise RuntimeError("reconfiguration did not stabilize within the iteration budget")
 
     # ------------------------------------------------------------------ #

@@ -11,11 +11,10 @@ whole network together with the parameters of the run.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
-from repro.geometry.angles import has_gap_greater_than, max_angular_gap
+from repro.geometry.angles import TWO_PI, max_angular_gap_of_sorted, sort_directions
 from repro.net.node import NodeId
 
 
@@ -82,13 +81,28 @@ class NodeState:
         """A boundary node still has an alpha-gap after reaching maximum power."""
         return self.used_max_power and self.has_gap()
 
+    def _sorted_directions(self) -> List[float]:
+        """Discovered directions, sorted.
+
+        Records promise directions in ``[0, 2*pi)``, where normalizing is the
+        identity, so only a list with an entry outside it is normalized.
+        """
+        directions = sorted(record.direction for record in self.neighbors.values())
+        if directions and (directions[0] < 0.0 or directions[-1] >= TWO_PI):
+            return sort_directions(directions)
+        return directions
+
     def has_gap(self, alpha: Optional[float] = None) -> bool:
-        """Whether the discovered directions leave a cone of degree alpha empty."""
-        return has_gap_greater_than(self.directions, self.alpha if alpha is None else alpha)
+        """Whether the discovered directions leave a cone of degree alpha empty.
+
+        Same result as ``has_gap_greater_than(self.directions, alpha)``.
+        """
+        threshold = self.alpha if alpha is None else alpha
+        return max_angular_gap_of_sorted(self._sorted_directions()) > threshold + 1e-12
 
     def largest_gap(self) -> float:
         """The largest angular gap among discovered directions."""
-        return max_angular_gap(self.directions)
+        return max_angular_gap_of_sorted(self._sorted_directions())
 
     def growth_radius(self) -> float:
         """The paper's ``rad^-_{u,alpha}``: distance of the farthest discovered neighbour."""

@@ -4,8 +4,11 @@ import math
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.analysis import (
+    _partition_labels,
     connectivity_report,
     hop_stretch_factor,
     power_stretch_factor,
@@ -115,3 +118,44 @@ class TestStretchMetrics:
         assert power_spanner_bound(math.pi / 2) == pytest.approx(3.0 / math.sin(math.pi / 4))
         with pytest.raises(ValueError):
             power_spanner_bound(0.0)
+
+
+def _union_find_labels(items, edges):
+    """``_partition_labels`` by way of networkx's union-find (the reference)."""
+    forest = nx.utils.UnionFind(items)
+    for u, v in edges:
+        forest.union(u, v)
+    return {item: min(block) for block in forest.to_sets() for item in block}
+
+
+class TestPartitionLabels:
+    """The flat union-find against ``nx.utils.UnionFind``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        items=st.sets(st.integers(min_value=-50, max_value=10_000), max_size=40),
+        edges=st.lists(
+            st.tuples(st.integers(min_value=-50, max_value=10_000), st.integers(min_value=-50, max_value=10_000)),
+            max_size=60,
+        ),
+        data=st.data(),
+    )
+    def test_matches_networkx_union_find(self, items, edges, data):
+        # Mostly edges between listed items (isolated items stay alone), plus
+        # the odd endpoint outside ``items``, which joins the partition too.
+        pool = sorted(items)
+        if pool:
+            edges = edges + data.draw(
+                st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool)), max_size=40)
+            )
+        assert _partition_labels(items, edges) == _union_find_labels(items, edges)
+
+    def test_isolated_and_non_contiguous_ids(self):
+        items = {3, 17, 99, 1000, 5, 42}
+        edges = [(1000, 17), (99, 1000), (42, 42)]
+        assert _partition_labels(items, edges) == {3: 3, 5: 5, 17: 17, 42: 42, 99: 17, 1000: 17}
+        assert _partition_labels(items, edges) == _union_find_labels(items, edges)
+
+    def test_long_chain_labels_every_node_with_the_minimum(self):
+        chain = [(i, i + 1) for i in range(499, -1, -1)]
+        assert set(_partition_labels(range(501), chain).values()) == {0}

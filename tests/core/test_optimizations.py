@@ -3,10 +3,13 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.cbtc import run_cbtc
 from repro.core.constants import PAIRWISE_ANGLE_THRESHOLD
 from repro.core.optimizations import (
+    _coverage_matches,
     asymmetric_edge_removal,
     edge_id,
     pairwise_edge_removal,
@@ -18,6 +21,7 @@ from repro.core.state import CBTCOutcome, NeighborRecord, NodeState
 from repro.core.topology import symmetric_closure_graph
 from repro.core.analysis import preserves_connectivity
 from repro.geometry import Point
+from repro.geometry.angles import TWO_PI, cover
 from repro.net.network import Network
 from repro.radio import PathLossModel, PowerModel
 
@@ -92,6 +96,144 @@ class TestShrinkBack:
     def test_empty_state_is_noop(self):
         state = NodeState(node_id=0, alpha=ALPHA)
         assert shrink_back_node(state) is state
+
+
+def _reference_shrink_back_node(state):
+    """Shrink-back as one coverage test per level prefix, smallest prefix first.
+
+    The historic loop: each prefix re-filters the records and re-runs the
+    coverage comparison from scratch, and the result is rebuilt through
+    ``add_neighbor``.
+    """
+    if not state.neighbors:
+        return state
+    original_arcs = cover(state.directions, state.alpha, normalized=True)
+    original_is_full_circle = original_arcs == [(0.0, TWO_PI)]
+    levels = sorted({record.discovery_power for record in state.neighbors.values()})
+    for keep_count in range(1, len(levels) + 1):
+        level_threshold = levels[keep_count - 1]
+        kept_records = [
+            record for record in state.neighbors.values() if record.discovery_power <= level_threshold
+        ]
+        kept_directions = [record.direction for record in kept_records]
+        if _coverage_matches(kept_directions, original_arcs, original_is_full_circle, state.alpha):
+            shrunk = NodeState(
+                node_id=state.node_id,
+                alpha=state.alpha,
+                final_power=max(max(record.required_power for record in kept_records), 0.0),
+                used_max_power=state.used_max_power,
+                rounds=state.rounds,
+            )
+            for record in kept_records:
+                shrunk.add_neighbor(record)
+            return shrunk
+    return state
+
+
+def _summary(state):
+    return (list(state.neighbors.items()), state.final_power, state.used_max_power, state.rounds)
+
+
+#: Offsets of a prefix's largest gap from alpha: exactly alpha, cover()'s
+#: 1e-12 tolerance, and inside _coverage_matches' (alpha, alpha + 2.5e-9] band.
+GAP_OFFSETS = [0.0, 1e-12, 2e-12, 1e-10, 1e-9, 2.4e-9, 2.5e-9, 2.6e-9, 1e-6]
+
+
+@st.composite
+def _node_states(draw):
+    """Arbitrary states: few or many records, shared levels, any coverage."""
+    alpha = draw(st.sampled_from([math.pi / 2, ALPHA_NARROW, ALPHA, math.pi]))
+    count = draw(st.integers(min_value=1, max_value=12))
+    state = NodeState(
+        node_id=0,
+        alpha=alpha,
+        used_max_power=draw(st.booleans()),
+        rounds=draw(st.integers(min_value=0, max_value=9)),
+    )
+    for neighbor in range(1, count + 1):
+        # Few distinct levels, so groups of records share a tag.
+        level = float(draw(st.integers(min_value=1, max_value=4)))
+        state.add_neighbor(
+            NeighborRecord(
+                neighbor=neighbor,
+                direction=draw(st.floats(min_value=0.0, max_value=TWO_PI, exclude_max=True)),
+                required_power=level * draw(st.floats(min_value=0.1, max_value=1.0)),
+                discovery_power=level,
+                distance=draw(st.floats(min_value=0.01, max_value=1.0)),
+            )
+        )
+    return state
+
+
+@st.composite
+def _band_states(draw):
+    """States whose level-1 prefix has its largest gap at alpha + offset.
+
+    Level 1 holds directions ``start, start + alpha + offset`` and then steps
+    narrower than alpha around the rest of the circle; higher levels add
+    directions inside the wide gap, so the full record set covers the circle
+    and shrink-back has to decide whether the level-1 prefix still does.
+    Directions are reduced modulo ``2*pi``.
+    """
+    alpha = draw(st.sampled_from([ALPHA_NARROW, ALPHA, math.pi / 2]))
+    offset = draw(st.sampled_from(GAP_OFFSETS))
+    # The last start puts the uncovered sliver at angle 0, where cover()'s
+    # arcs can still compare equal to the full circle.
+    start = draw(st.sampled_from([0.0, 0.5, 2.0, TWO_PI - alpha / 2 - offset]))
+    wide = alpha + offset
+    directions = [start, start + wide]
+    position = start + wide
+    step = alpha * draw(st.sampled_from([0.5, 0.9, 0.999]))
+    while TWO_PI + start - position > alpha:
+        position += step
+        directions.append(position)
+    state = NodeState(node_id=0, alpha=alpha, used_max_power=draw(st.booleans()), rounds=3)
+    for neighbor, direction in enumerate(directions, start=1):
+        state.add_neighbor(_record(neighbor, direction % TWO_PI, 0.5, discovery=1.0))
+    for neighbor, fraction in enumerate(draw(st.lists(st.floats(0.05, 0.95), min_size=1, max_size=3)), 100):
+        level = float(draw(st.integers(min_value=2, max_value=3)))
+        state.add_neighbor(_record(neighbor, (start + fraction * wide) % TWO_PI, 0.9, discovery=level))
+    return state
+
+
+class TestShrinkBackOracle:
+    """``shrink_back_node`` against the historic per-prefix loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(state=_node_states())
+    def test_matches_reference_on_arbitrary_states(self, state):
+        assert _summary(shrink_back_node(state.copy())) == _summary(_reference_shrink_back_node(state.copy()))
+
+    @settings(max_examples=200, deadline=None)
+    @given(state=_band_states())
+    def test_matches_reference_near_the_tolerance_band(self, state):
+        assert _summary(shrink_back_node(state.copy())) == _summary(_reference_shrink_back_node(state.copy()))
+
+    def test_single_neighbor(self):
+        state = NodeState(node_id=0, alpha=ALPHA, used_max_power=True)
+        state.add_neighbor(_record(7, 1.0, 0.4, discovery=2.0))
+        assert _summary(shrink_back_node(state.copy())) == _summary(_reference_shrink_back_node(state))
+        assert shrink_back_node(state).final_power == pytest.approx(0.4**2)
+
+    def test_gap_exactly_alpha_drops_the_outer_level(self):
+        # Level 1 alone has gaps of exactly alpha: it still covers the circle.
+        alpha = math.pi / 2
+        state = NodeState(node_id=0, alpha=alpha)
+        for neighbor in range(4):
+            state.add_neighbor(_record(neighbor, neighbor * alpha, 0.5, discovery=1.0))
+        state.add_neighbor(_record(9, alpha / 2, 0.9, discovery=2.0))
+        shrunk = shrink_back_node(state.copy())
+        assert set(shrunk.neighbors) == {0, 1, 2, 3}
+        assert _summary(shrunk) == _summary(_reference_shrink_back_node(state))
+
+    def test_boundary_states_match(self, small_random_network):
+        outcome = run_cbtc(small_random_network, ALPHA)
+        boundary = [state for state in outcome if state.is_boundary]
+        assert boundary
+        for state in outcome:
+            assert _summary(shrink_back_node(state.copy())) == _summary(
+                _reference_shrink_back_node(state.copy())
+            )
 
 
 class TestAsymmetricEdgeRemoval:

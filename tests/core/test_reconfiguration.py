@@ -1,11 +1,14 @@
 """Tests for repro.core.reconfiguration."""
 
+import copy
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.reconfiguration as reconfiguration
 from repro.core.analysis import preserves_connectivity
 from repro.core.cbtc import run_cbtc
 from repro.core.pipeline import OptimizationConfig
@@ -14,11 +17,17 @@ from repro.core.reconfiguration import (
     JoinEvent,
     LeaveEvent,
     ReconfigurationManager,
+    _BeaconPowers,
+    _reception_bound,
     beacon_power_policy,
 )
+from repro.core.state import NeighborRecord
 from repro.geometry import Point
+from repro.geometry.angles import angle_difference
+from repro.net.network import Network
 from repro.net.node import Node
 from repro.net.placement import PlacementConfig, random_uniform_placement
+from repro.radio import PathLossModel, PowerModel
 
 ALPHA = 5 * math.pi / 6
 
@@ -160,6 +169,13 @@ class TestSynchronize:
         assert 1000 in topology.graph
         assert preserves_connectivity(network.max_power_graph(), topology.graph)
 
+    def test_negative_angle_threshold_is_rejected(self, network):
+        # A freshly written record would count as an angle change forever.
+        with pytest.raises(ValueError):
+            ReconfigurationManager(network, ALPHA, angle_threshold=-0.01)
+        with pytest.raises(ValueError):
+            ReconfigurationManager(network, ALPHA, angle_threshold=float("nan"))
+
     def test_repeated_synchronize_is_stable(self, network):
         manager = ReconfigurationManager(network, ALPHA)
         moved = network.node(network.node_ids[8])
@@ -278,7 +294,7 @@ def _joins_by_definition(manager, beacon_powers, alive):
 
 
 class TestJoinDetection:
-    """``_joins_by_observer`` against the all-pairs definition of a join."""
+    """``_joins`` against the all-pairs definition of a join."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -312,5 +328,289 @@ class TestJoinDetection:
                 )
             )
         expected = _joins_by_definition(manager, beacon_powers, alive)
-        scratch = manager._build_sync_scratch()
-        assert manager._joins_by_observer(beacon_powers, alive, scratch) == expected
+        reach = manager._reach()
+        beacons = _BeaconPowers(manager.outcome, network, reach)
+        beacons.powers = beacon_powers
+        beacons.bounds = {node: _reception_bound(network, power) for node, power in beacon_powers.items()}
+        joins = {}
+        for state in manager.outcome:
+            observer = state.node_id
+            if observer in alive:
+                known = manager._known.get(observer, set(state.neighbor_ids))
+                found = manager._joins(observer, known, beacons, alive, reach)
+                if found:
+                    joins[observer] = found
+        assert joins == expected
+
+
+# --------------------------------------------------------------------------- #
+# The synchronize oracle: every iteration re-derives every beacon power and
+# scans every observer.
+# --------------------------------------------------------------------------- #
+def _reference_detect(manager, reach, alive):
+    """One all-observer detection pass (joins from the all-pairs definition)."""
+    network = manager.network
+    power_model = network.power_model
+    beacon_powers = beacon_power_policy(manager.outcome, network, distances=reach)
+    joins_by_observer = _joins_by_definition(manager, beacon_powers, alive)
+    events = []
+    for state in list(manager.outcome):
+        observer = state.node_id
+        if observer not in alive:
+            continue
+        in_range = reach.get(observer, {})
+        known = manager._known.setdefault(observer, set(state.neighbor_ids))
+        for other_id in list(known):
+            if other_id not in state.neighbors and other_id not in in_range:
+                known.discard(other_id)
+        for neighbor_id in state.neighbor_ids:
+            distance = in_range.get(neighbor_id)
+            if distance is None:
+                events.append(LeaveEvent(observer=observer, subject=neighbor_id))
+                continue
+            current_direction = network.direction(observer, neighbor_id)
+            recorded = state.neighbors[neighbor_id]
+            if angle_difference(current_direction, recorded.direction) > manager.angle_threshold:
+                events.append(
+                    AngleChangeEvent(
+                        observer=observer,
+                        subject=neighbor_id,
+                        new_direction=current_direction,
+                        required_power=power_model.required_power(distance),
+                        distance=distance,
+                    )
+                )
+            elif abs(distance - recorded.distance) > 1e-9:
+                manager._touched.add(observer)
+                state.neighbors[neighbor_id] = NeighborRecord(
+                    neighbor=neighbor_id,
+                    direction=recorded.direction,
+                    required_power=power_model.required_power(distance),
+                    discovery_power=recorded.discovery_power,
+                    distance=distance,
+                )
+        events.extend(joins_by_observer.get(observer, ()))
+    return events
+
+
+def _reference_synchronize(manager, *, max_iterations=20):
+    """Synchronize with full passes; returns every pass's event list."""
+    network = manager.network
+    alive = {node.node_id for node in network.nodes if node.alive}
+    for node_id in list(manager.outcome.states):
+        if node_id not in alive:
+            del manager.outcome.states[node_id]
+            manager._known.pop(node_id, None)
+            manager._touched.add(node_id)
+    for node_id in sorted(alive):
+        if node_id not in manager.outcome.states:
+            manager._rerun(node_id, from_power=0.0)
+    reach = {}
+    for u, v, dist in network.spatial_index().pairs_within(network.power_model.max_range):
+        reach.setdefault(u, {})[v] = dist
+        reach.setdefault(v, {})[u] = dist
+    passes = []
+    for _ in range(max_iterations):
+        events = _reference_detect(manager, reach, alive)
+        passes.append(events)
+        if not events:
+            return passes
+        for event in events:
+            manager.apply(event)
+    raise RuntimeError("reference synchronize did not stabilize")
+
+
+def _recorded_synchronize(manager):
+    """``manager.synchronize()`` plus the event list of every detection pass."""
+    passes = []
+    detect = manager._detect_events
+
+    def recording(*args, **kwargs):
+        events = detect(*args, **kwargs)
+        passes.append(list(events))
+        return events
+
+    manager._detect_events = recording
+    try:
+        iterations = manager.synchronize()
+    finally:
+        del manager._detect_events
+    assert iterations == len(passes) - 1
+    return passes
+
+
+def _manager_snapshot(manager):
+    states = [
+        (s.node_id, s.alpha, list(s.neighbors.items()), s.final_power, s.used_max_power, s.rounds)
+        for s in manager.outcome
+    ]
+    known = {node: sorted(heard) for node, heard in manager._known.items()}
+    return states, known, manager.events_applied, manager.reruns, sorted(manager._touched)
+
+
+#: Grid spacing of the oracle worlds: integer-valued coordinates make equal
+#: distances (and so beacons landing exactly on a partner) common.
+GRID = 50.0
+GRID_CELLS = 17
+ORACLE_POWER = PowerModel(propagation=PathLossModel(exponent=2.0), max_range=500.0)
+
+
+def _grid_point(cell):
+    return Point(GRID * (cell % GRID_CELLS), GRID * (cell // GRID_CELLS))
+
+
+def _apply_step(network, step, occupied):
+    """Apply one schedule step; ``occupied`` maps grid cells to node ids."""
+    kind, index, cell = step
+    node_ids = network.node_ids
+    node = network.node(node_ids[index % len(node_ids)])
+    if kind == "move" and cell not in occupied:
+        del occupied[next(c for c, n in occupied.items() if n == node.node_id)]
+        occupied[cell] = node.node_id
+        node.move_to(_grid_point(cell))
+    elif kind == "crash":
+        node.crash()
+    elif kind == "recover":
+        node.recover()
+    elif kind == "join" and cell not in occupied:
+        newcomer = max(node_ids) + 1
+        occupied[cell] = newcomer
+        network.add_node(Node(node_id=newcomer, position=_grid_point(cell)))
+
+
+def _run_twins(cells, rounds, *, alpha=ALPHA, spy=None):
+    """Run ``rounds`` of steps on twin managers: production vs. the oracle.
+
+    Returns the per-round pass lists (they are asserted equal).  ``spy``,
+    when given, is called with the production manager before each round.
+    """
+    network = Network.from_points([_grid_point(cell) for cell in cells], power_model=ORACLE_POWER)
+    manager = ReconfigurationManager(network, alpha)
+    twin_network, twin = copy.deepcopy((network, manager))
+    occupied = {cell: node_id for node_id, cell in enumerate(cells)}
+    twin_occupied = dict(occupied)
+    history = []
+    for steps in rounds:
+        for step in steps:
+            _apply_step(network, step, occupied)
+            _apply_step(twin_network, step, twin_occupied)
+        if spy is not None:
+            spy(manager)
+        produced = _recorded_synchronize(manager)
+        expected = _reference_synchronize(twin)
+        assert produced == expected
+        assert _manager_snapshot(manager) == _manager_snapshot(twin)
+        history.append(produced)
+    return history
+
+
+_STEPS = st.tuples(
+    st.sampled_from(["move", "move", "crash", "recover", "join"]),
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=0, max_value=GRID_CELLS * GRID_CELLS - 1),
+)
+
+
+class TestSynchronizeOracle:
+    """Production ``synchronize`` (later passes re-detect only what changed)
+    against the all-observer loop, on twin managers."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        cells=st.lists(
+            st.integers(min_value=0, max_value=GRID_CELLS * GRID_CELLS - 1),
+            min_size=3,
+            max_size=16,
+            unique=True,
+        ),
+        rounds=st.lists(st.lists(_STEPS, max_size=5), min_size=1, max_size=3),
+        alpha=st.sampled_from([ALPHA, 2 * math.pi / 3]),
+    )
+    def test_matches_all_observer_loop(self, cells, rounds, alpha):
+        _run_twins(cells, rounds, alpha=alpha)
+
+    #: A fixed world and schedule (found by search) that hits every case the
+    #: re-detection rule has to get right; the test asserts each one happens.
+    CELLS = [171, 207, 107, 238, 43, 197, 114, 235, 115, 200, 118, 75, 92]
+    ROUNDS = [
+        [("crash", 38, 162), ("crash", 15, 203), ("join", 34, 150), ("move", 11, 178)],
+        [("recover", 34, 77), ("crash", 25, 104), ("move", 33, 160)],
+        [("join", 37, 90), ("recover", 26, 201), ("crash", 21, 69), ("join", 25, 218)],
+    ]
+
+    def test_exercises_the_delicate_cases(self, monkeypatch):
+        seen = {
+            # A beacon power went down between passes.
+            "decrease": False,
+            # A raised beacon power reaches a partner exactly at its distance,
+            # and that partner had no event (only the new beacon makes it
+            # re-detect).
+            "exact_reach": False,
+            # A crashed node was still a recorded neighbour.
+            "crashed_neighbor": False,
+            # A recovered node re-ran the growing phase from power 0.
+            "recovered_rerun": False,
+        }
+        production = []
+
+        refresh = _BeaconPowers.refresh
+
+        def spying_refresh(self, outcome, before):
+            changed = refresh(self, outcome, before)
+            seen["decrease"] |= any(self.powers[node] < previous for node, previous in changed)
+            self.spied_before = before
+            return changed
+
+        newly_reached = ReconfigurationManager._newly_reached
+
+        def spying_newly_reached(self, changed, beacons, reach):
+            reached = newly_reached(self, changed, beacons, reach)
+            power_model = self.network.power_model
+            for subject, previous in changed:
+                power = beacons.powers[subject]
+                for observer, distance in reach.get(subject, {}).items():
+                    if (
+                        power > previous
+                        and power_model.required_power(distance) == power
+                        and observer in reached
+                        and observer not in beacons.spied_before
+                        and subject not in self._known[observer]
+                    ):
+                        seen["exact_reach"] = True
+            return reached
+
+        rerun = ReconfigurationManager._rerun
+
+        def spying_rerun(self, node_id, *, from_power):
+            if self in production and from_power == 0.0 and node_id in self.spied_seen:
+                seen["recovered_rerun"] = True
+            rerun(self, node_id, from_power=from_power)
+
+        def spy(manager):
+            production[:] = [manager]
+            manager.spied_seen = getattr(manager, "spied_seen", set()) | set(manager.outcome.states)
+            dead = {node.node_id for node in manager.network.nodes if not node.alive}
+            seen["crashed_neighbor"] |= any(dead & set(state.neighbors) for state in manager.outcome)
+
+        monkeypatch.setattr(_BeaconPowers, "refresh", spying_refresh)
+        monkeypatch.setattr(ReconfigurationManager, "_newly_reached", spying_newly_reached)
+        monkeypatch.setattr(ReconfigurationManager, "_rerun", spying_rerun)
+        history = _run_twins(self.CELLS, self.ROUNDS, spy=spy)
+        assert seen == dict.fromkeys(seen, True)
+        # Later passes happened: the restricted re-detection was exercised.
+        assert max(len(passes) for passes in history) >= 3
+
+    def test_rerun_states_get_their_neighbours_rechecked(self, monkeypatch):
+        # Skew every re-run's recorded distances, as if the growing phase had
+        # measured them differently: the next pass must refresh them, so the
+        # observers whose events re-ran CBTC cannot be limited to join checks.
+        grow = reconfiguration.run_cbtc_for_node
+
+        def skewed(*args, **kwargs):
+            state = grow(*args, **kwargs)
+            for neighbor, record in list(state.neighbors.items()):
+                state.neighbors[neighbor] = dataclasses.replace(record, distance=record.distance + 1e-6)
+            return state
+
+        monkeypatch.setattr(reconfiguration, "run_cbtc_for_node", skewed)
+        _run_twins(self.CELLS, self.ROUNDS)

@@ -3,8 +3,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.state import CBTCOutcome, NeighborRecord, NodeState
+from repro.geometry.angles import TWO_PI, has_gap_greater_than, max_angular_gap
 
 
 def _record(neighbor, direction, distance=1.0, required=1.0, discovery=1.0):
@@ -81,6 +84,42 @@ class TestNodeState:
         assert state.record_for(5).direction == 0.3
         with pytest.raises(KeyError):
             state.record_for(6)
+
+
+class TestGapAgainstNormalizingReference:
+    """``has_gap``/``largest_gap`` normalize only when needed; results must not change."""
+
+    #: Directions around the normalization edges, plus arbitrary ones.
+    DIRECTIONS = st.one_of(
+        st.sampled_from([0.0, -0.0, TWO_PI, -TWO_PI, 2 * TWO_PI, TWO_PI - 1e-15, -1e-300, math.pi]),
+        st.floats(min_value=-4 * TWO_PI, max_value=4 * TWO_PI, allow_nan=False),
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        directions=st.lists(DIRECTIONS, max_size=8),
+        alpha=st.one_of(
+            st.sampled_from([math.pi / 2, 2 * math.pi / 3, 5 * math.pi / 6, math.pi]),
+            st.floats(min_value=0.01, max_value=TWO_PI),
+        ),
+    )
+    def test_matches_has_gap_greater_than(self, directions, alpha):
+        state = NodeState(node_id=0, alpha=alpha)
+        for neighbor, direction in enumerate(directions):
+            state.add_neighbor(_record(neighbor, direction))
+        assert state.has_gap() == has_gap_greater_than(state.directions, alpha)
+        assert state.has_gap(alpha / 2) == has_gap_greater_than(state.directions, alpha / 2)
+        assert state.largest_gap() == max_angular_gap(state.directions)
+
+    def test_out_of_range_directions_are_normalized(self):
+        state = NodeState(node_id=0, alpha=math.pi)
+        # -pi/2 and 5pi/2 normalize to 3pi/2 and pi/2: two opposite
+        # directions, so no gap wider than pi.
+        state.add_neighbor(_record(1, -math.pi / 2))
+        state.add_neighbor(_record(2, 5 * math.pi / 2))
+        assert not state.has_gap()
+        assert state.has_gap(math.pi / 2)
+        assert state.largest_gap() == max_angular_gap([-math.pi / 2, 5 * math.pi / 2])
 
 
 class TestCBTCOutcome:
