@@ -69,10 +69,10 @@ from repro.radio.power import PowerSchedule
 Edge = Tuple[NodeId, NodeId]
 
 #: When the dirty region reaches this fraction of the node set, splicing is
-#: abandoned for a from-scratch rebuild (the full-rebuild fallback).  The
-#: threshold is deliberately high: splicing into live structures measures
-#: several times cheaper than rebuilding the graph and every per-node table
-#: from scratch even when two thirds of the nodes are dirty.
+#: abandoned for a from-scratch rebuild (the full-rebuild fallback).  Below
+#: it a splice is not guaranteed to win: on drift epochs at n = 1000–2000
+#: it costs about as much as a rebuild (0.8–1.1×; README, "Performance
+#: architecture" §4), and on 80-node serving worlds it is only ~15% cheaper.
 FULL_REBUILD_FRACTION = 0.8
 
 

@@ -232,10 +232,10 @@ class LoadReport:
     mirrors_verified: int = 0
     op_counts: Dict[str, int] = field(default_factory=dict)
     op_p95_ms: Dict[str, float] = field(default_factory=dict)
-    server_stats: Optional[Dict[str, Any]] = None
     #: Observability sourced from the ``metrics`` op: per-shard qps over the
     #: timed phase, dispatch batch-size distribution, cache hit rates and
-    #: queue-wait percentiles, plus the full merged registry summary.
+    #: queue-wait percentiles, the front end's cumulative serving and
+    #: durability counters, plus the full merged registry summary.
     metrics: Optional[Dict[str, Any]] = None
 
     def as_text(self) -> str:
@@ -264,19 +264,18 @@ class LoadReport:
             lines.append(
                 f"  {op:<13} {self.op_counts[op]:>6} requests, p95 {self.op_p95_ms[op]:.2f} ms"
             )
-        if self.server_stats is not None:
-            lines.append(
-                f"server: {self.server_stats.get('batches', 0)} batches, "
-                f"max batch {self.server_stats.get('max_batch_size', 0)}, "
-                f"shard requests {self.server_stats.get('shard_requests')}"
-            )
-            if self.server_stats.get("durable"):
-                lines.append(
-                    f"durability: {self.server_stats.get('recovered_worlds', 0)} worlds "
-                    f"recovered, {self.server_stats.get('worker_restarts', 0)} worker "
-                    f"restarts"
-                )
         if self.metrics is not None:
+            server = self.metrics["server"]
+            lines.append(
+                f"server: {server['batches']} batches, "
+                f"max batch {server['max_batch_size']}, "
+                f"shard requests {server['shard_requests']}"
+            )
+            if server["durable"]:
+                lines.append(
+                    f"durability: {server['recovered_worlds']} worlds "
+                    f"recovered, {server['worker_restarts']} worker restarts"
+                )
             qps = ", ".join(f"{q:.1f}" for q in self.metrics["per_shard_qps"])
             lines.append(f"shard qps: [{qps}]")
             batch = self.metrics["batch_size"]
@@ -446,12 +445,7 @@ async def run_load_async(
         for watcher in watchers:
             await watcher.close()
 
-    stats_client = await ServiceClient.connect(host, port)
-    try:
-        server_stats = await stats_client.call(protocol.SERVER_STATS)
-        metrics_after = await stats_client.call(protocol.METRICS)
-    finally:
-        await stats_client.close()
+    metrics_after = await _fetch_metrics(host, port)
 
     live_clients = [client for client in clients if client is not None]
     total_retries = sum(client.retries for client in live_clients)
@@ -485,7 +479,6 @@ async def run_load_async(
         latency_p99_ms=_percentile(all_latencies, 0.99) * 1000.0,
         op_counts=op_counts,
         op_p95_ms={op: _percentile(values, 0.95) * 1000.0 for op, values in op_latencies.items()},
-        server_stats=server_stats,
         metrics=_metrics_report(metrics_before, metrics_after, elapsed),
     )
     return report, snapshots
@@ -545,7 +538,8 @@ def _metrics_report(
     Counters and latency histograms are *differenced* across the timed
     window (setup traffic and earlier runs drop out); cache hit rates are
     reported cumulatively — they describe the server's caches, not this
-    run's window.
+    run's window, and so are the front end's serving and durability
+    counters (``server``).
     """
 
     per_shard_qps: List[float] = []
@@ -575,6 +569,24 @@ def _metrics_report(
             counters.get(f"{prefix}.hits", 0), counters.get(f"{prefix}.misses", 0)
         )
 
+    frontend = after.get("frontend", {})
+    frontend_counters = frontend.get("counters", {})
+    frontend_gauges = frontend.get("gauges", {})
+    batches = frontend.get("histograms", {}).get("server.batch_size", {})
+    server = {
+        "worlds": int(frontend_gauges.get("server.worlds", 0)),
+        "batches": batches.get("count", 0),
+        "max_batch_size": int(batches.get("max") or 0),
+        "shard_requests": [
+            int(frontend_counters.get(f"server.shard.{shard}.requests", 0))
+            for shard in range(len(after.get("shards", [])))
+        ],
+        # The durability gauges exist only on a server with a store.
+        "durable": "service.worker_restarts" in frontend_gauges,
+        "worker_restarts": int(frontend_gauges.get("service.worker_restarts", 0)),
+        "recovered_worlds": int(frontend_gauges.get("service.recovered_worlds", 0)),
+    }
+
     return {
         "per_shard_qps": per_shard_qps,
         "batch_size": {
@@ -596,6 +608,7 @@ def _metrics_report(
             "route_cache": rate("cache.route"),
             "derived_cache": rate("cache.derived"),
         },
+        "server": server,
         "registry": merged_after,
     }
 

@@ -4,7 +4,7 @@ One request or response per line, encoded as a canonical JSON object
 (sorted keys, no whitespace) terminated by ``\\n``.  Requests are plain
 dictionaries — no typed envelope classes — because the same payload has to
 cross three very different boundaries unchanged: a TCP socket (the asyncio
-front end), a ``multiprocessing`` queue (the shard workers), and a plain
+front end), a ``multiprocessing`` pipe (the shard workers), and a plain
 function call (the serial replay used by the determinism battery).
 
 A request looks like::
@@ -19,7 +19,7 @@ and its response like::
 ``op`` names the operation; ``world`` addresses one hosted world (the
 consistent-hash routing key) and is required for every op in
 :data:`WORLD_OPS`.  The front-end ops in :data:`FRONTEND_OPS` (``ping``,
-``list_worlds``, ``server_stats``, ``shutdown``) carry no world and never
+``list_worlds``, ``metrics``, ``resize``, ``shutdown``) carry no world and never
 reach a shard.
 
 Requests are validated *before* routing so a malformed message is answered
@@ -101,10 +101,6 @@ SUBS_COLLECT = "subs_collect"
 PING = "ping"
 #: Worlds the front end has seen created, with their shard assignment.
 LIST_WORLDS = "list_worlds"
-#: Request/batch counters of the front end.  Deprecated in favour of
-#: :data:`METRICS`, which carries every counter this op carries and more;
-#: kept for wire compatibility.
-SERVER_STATS = "server_stats"
 #: Merged fleet metrics: per-shard registry snapshots plus the front end's
 #: own, with canonical histogram percentiles.
 METRICS = "metrics"
@@ -137,7 +133,7 @@ WORLD_OPS = frozenset(
 )
 
 #: Ops answered by the asyncio front end without touching any shard.
-FRONTEND_OPS = frozenset({PING, LIST_WORLDS, SERVER_STATS, METRICS, SHUTDOWN, RESIZE})
+FRONTEND_OPS = frozenset({PING, LIST_WORLDS, METRICS, SHUTDOWN, RESIZE})
 
 #: World ops that only read state (their responses are snapshot-cacheable).
 READ_OPS = frozenset({QUERY_STATS, QUERY_ROUTE, RUN_TRAFFIC, SNAPSHOT})

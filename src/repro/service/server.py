@@ -1,8 +1,8 @@
 """The asyncio front end: topology-as-a-service.
 
 :class:`FleetServer` accepts newline-delimited JSON requests over TCP,
-answers front-end ops (``ping``, ``list_worlds``, ``server_stats``,
-``metrics``, ``resize``, ``shutdown``) directly, and routes every
+answers front-end ops (``ping``, ``list_worlds``, ``metrics``,
+``resize``, ``shutdown``) directly, and routes every
 world-addressed op to the shard owning that world (consistent hashing,
 :class:`~repro.service.sharding.HashRing`).
 
@@ -165,9 +165,8 @@ class FleetServer:
         self.requests_received = 0
         self.batches_dispatched = 0
         self.max_batch_size = 0
-        self.shard_requests = [0] * shards
         # Front-end registry: dispatch-side latency histograms plus the
-        # counters that ``server_stats`` used to be the only home of.
+        # serving and durability counters the ``metrics`` op reports.
         self.metrics = MetricsRegistry()
         # Subscription registry: which connections watch which worlds, and
         # the machinery that pushes diff frames to them.
@@ -372,7 +371,6 @@ class FleetServer:
     # Dispatch (one batch in flight per shard)
     # ------------------------------------------------------------------ #
     async def _dispatch(self, shard: int) -> None:
-        loop = asyncio.get_running_loop()
         pending = self._pending[shard]
         wakeup = self._wakeups[shard]
         while True:
@@ -385,7 +383,6 @@ class FleetServer:
                 futures = [future for _, future, _ in batch]
                 self.batches_dispatched += 1
                 self.max_batch_size = max(self.max_batch_size, len(requests))
-                self.shard_requests[shard] += len(requests)
                 now = clock.wall()
                 queue_wait = self.metrics.histogram("server.queue_wait_seconds")
                 for _, _, enqueued in batch:
@@ -408,22 +405,12 @@ class FleetServer:
                     if kill:
                         self.metrics.counter("server.faults.workers_killed").inc()
                         self._pool.kill_worker(shard)
-                # Process-backed pools block on a queue round trip, so they
-                # run in the default executor and the event loop keeps
+                # While a process shard executes, the event loop keeps
                 # reading other connections — that concurrency is what lets
-                # the next batch coalesce while this one executes.  Inline
-                # pools compute under the GIL regardless; calling them
-                # directly skips a thread hop per batch, and arriving
-                # requests coalesce in the transport buffers instead.
+                # the next batch coalesce while this one executes.
                 self._busy[shard] = True
                 try:
-                    if self._pool.runs_in_loop:
-                        responses = self._pool.execute(shard, requests)
-                        await asyncio.sleep(0)
-                    else:
-                        responses = await loop.run_in_executor(
-                            None, self._pool.execute, shard, requests
-                        )
+                    responses = await self._pool.dispatch(shard, requests)
                 finally:
                     self._busy[shard] = False
                 elapsed = clock.wall() - now
@@ -816,8 +803,6 @@ class FleetServer:
                 request_id,
                 {"worlds": {world: shard for world, shard in sorted(self._worlds.items())}},
             )
-        if op == protocol.SERVER_STATS:
-            return protocol.ok_response(request_id, self.stats())
         # SHUTDOWN: acknowledge first; serve_until_shutdown tears down after
         # this response has been written back to the requester.
         self._stopping.set()
@@ -983,7 +968,6 @@ class FleetServer:
             self._wakeups.append(asyncio.Event())
             self._shedding.append(False)
             self._busy.append(False)
-            self.shard_requests.append(0)
             self._dispatchers.append(asyncio.create_task(self._dispatch(shard)))
 
     async def _shrink_runtime(self, new_shards: int) -> None:
@@ -1003,7 +987,6 @@ class FleetServer:
         del self._wakeups[new_shards:]
         del self._shedding[new_shards:]
         del self._busy[new_shards:]
-        del self.shard_requests[new_shards:]
         if self._pool.runs_in_loop:
             self._pool.shrink(new_shards)
         else:
@@ -1029,46 +1012,12 @@ class FleetServer:
     def _refresh_durability_metrics(self) -> None:
         """Fold the pool's durability counters into the registry.
 
-        The registry is the canonical home of these counters; the deprecated
-        ``server_stats`` dict reads them back from here so both paths can
-        never disagree.
+        Only a server with a store registers them, so their presence in a
+        snapshot is what tells a reader the fleet is durable.
         """
-        restarts = self.metrics.gauge("service.worker_restarts")
-        recovered = self.metrics.gauge("service.recovered_worlds")
         if self._pool is not None and self.store_config is not None:
-            restarts.set(self._pool.worker_restarts)
-            recovered.set(self._pool.recovered_worlds())
-
-    def stats(self) -> Dict[str, Any]:
-        """Front-end serving counters.
-
-        .. deprecated:: PR 8
-            ``server_stats`` predates the metrics registry; prefer the
-            ``metrics`` op, which carries these counters (and the latency
-            histograms this dict never had).  Kept for wire compatibility —
-            the durability counters are now *read back from the registry*
-            rather than from the pool directly.
-        """
-        self._refresh_durability_metrics()
-        stats = {
-            "shards": self.shards,
-            "inline": self.inline,
-            "naive": self.naive,
-            "durable": self.store_config is not None and self.store_config.durable,
-            "worlds": len(self._worlds),
-            "requests": self.requests_received,
-            "batches": self.batches_dispatched,
-            "max_batch_size": self.max_batch_size,
-            "shard_requests": list(self.shard_requests),
-        }
-        if self._pool is not None and self.store_config is not None:
-            stats["worker_restarts"] = int(
-                self.metrics.gauge("service.worker_restarts").value
-            )
-            stats["recovered_worlds"] = int(
-                self.metrics.gauge("service.recovered_worlds").value
-            )
-        return stats
+            self.metrics.gauge("service.worker_restarts").set(self._pool.worker_restarts)
+            self.metrics.gauge("service.recovered_worlds").set(self._pool.recovered_worlds())
 
 
 def run_server(

@@ -1,9 +1,9 @@
 """Shard execution backends: in-process and multiprocessing.
 
-Both backends expose the same two-method interface the front end's
-dispatchers drive::
+Both backends expose the same interface the front end's dispatchers drive::
 
-    responses = pool.execute(shard, [request, ...])   # blocking, in order
+    responses = await pool.dispatch(shard, [request, ...])   # in order
+    responses = pool.execute(shard, [request, ...])          # blocking twin
     pool.close()
 
 :class:`InlineShardPool` runs every shard's :class:`~repro.service.worlds.
@@ -14,13 +14,15 @@ that isolate the serving-layer gains, and single-machine serving.
 owning its worlds' :class:`~repro.core.reconfiguration.ReconfigurationManager`
 and :class:`~repro.core.incremental.IncrementalTopologyBuilder` state, so
 epoch updates ride the dirty-set path across requests instead of rebuilding
-per request.  Workers receive request batches over a ``multiprocessing``
-queue and answer on a per-shard response queue; because each shard has at
-most one batch in flight (the dispatcher awaits the previous batch before
-sending the next), per-world request order — the determinism contract — is
-preserved by construction.  Batches *do* carry sequence numbers, but for
-durability rather than ordering: the number keys the store's exactly-once
-re-dispatch marker (see below).
+per request.  Each worker talks to the front end over one duplex
+``multiprocessing`` pipe: the dispatcher sends a batch and its event loop
+watches the pipe and the worker's ``Process.sentinel`` (``loop.add_reader``),
+so a round trip costs no executor thread and no queue feeder thread.
+Because each shard has at most one batch in flight (the dispatcher awaits
+the previous batch before sending the next), per-world request order — the
+determinism contract — is preserved by construction.  Batches *do* carry
+sequence numbers, but for durability rather than ordering: the number keys
+the store's exactly-once re-dispatch marker (see below).
 
 Workers start **empty** unless recovering: worlds are created by
 ``create_world`` requests routed through the same consistent hash as every
@@ -28,17 +30,20 @@ other request, so no live object ever crosses a process boundary (requests
 and responses are plain JSON-able dictionaries; stores are built *inside*
 the worker from a picklable :class:`~repro.service.storage.base.StoreConfig`).
 
-**Worker death.**  ``execute`` never blocks forever on a dead worker: it
-polls the response queue and watches ``Process.is_alive()``.  What happens
-next depends on durability:
+**Worker death.**  A round trip never blocks forever on a dead worker: it
+waits on the pipe *and* the sentinel, and reads the pipe before deciding
+the worker is dead, so a response written just before exit is still
+delivered.  A broken pipe or end-of-file counts as death too.  What happens
+next depends on durability (and runs in the default executor, so one
+shard's recovery never stalls the event loop or the other shards):
 
-* with a durable (sqlite) store the pool restarts the worker on fresh
-  queues (a kill mid-``put`` can corrupt the old ones), the replacement
-  recovers its fleet from the shard's write-ahead log, and the batch is
-  re-dispatched under its original sequence number — if the dead worker
-  had already committed it, the store answers with the committed responses
-  (exactly-once); if not, the batch re-executes from the pre-batch state,
-  deterministically.  The client never sees the crash.
+* with a durable (sqlite) store the pool restarts the worker on a fresh
+  pipe (a kill mid-``send`` can leave a partial pickle in the old one), the
+  replacement recovers its fleet from the shard's write-ahead log, and the
+  batch is re-dispatched under its original sequence number — if the dead
+  worker had already committed it, the store answers with the committed
+  responses (exactly-once); if not, the batch re-executes from the
+  pre-batch state, deterministically.  The client never sees the crash.
 * without one (no store, or the per-process memory store) the batch's
   state is simply gone: the pool surfaces one error response per request
   and restarts an **empty** worker so the shard keeps serving.
@@ -46,9 +51,11 @@ next depends on durability:
 
 from __future__ import annotations
 
+import asyncio
 import multiprocessing
+import multiprocessing.connection
 import os
-import queue as queue_module
+import threading
 from typing import Any, Dict, List, Optional
 
 from repro.service.storage.base import StoreConfig, build_store
@@ -62,9 +69,6 @@ _STOP = "stop"
 #: ``kill_worker`` rules; the decision is made parent-side so a one-shot
 #: rule stays consumed across the restart.
 _DIE = "die"
-
-#: Response-queue poll interval while watching worker liveness (seconds).
-_POLL_INTERVAL = 0.1
 
 
 def _build_host(shard: int, naive: bool, store_config: Optional[StoreConfig]) -> WorldHost:
@@ -82,10 +86,8 @@ def _build_host(shard: int, naive: bool, store_config: Optional[StoreConfig]) ->
 class InlineShardPool:
     """All shards executed synchronously in the calling process."""
 
-    #: Inline execution is pure in-process Python: running it straight on
-    #: the event loop avoids an executor-thread round trip per batch (the
-    #: compute holds the GIL either way), while arriving requests queue in
-    #: the transport buffers and coalesce into the next batch.
+    #: Inline execution is pure in-process Python, so resizes grow and
+    #: shrink the pool straight on the event loop.
     runs_in_loop = True
 
     def __init__(
@@ -147,6 +149,18 @@ class InlineShardPool:
             replacement.recover()
         return self.hosts[shard].execute_batch(batch)
 
+    async def dispatch(self, shard: int, batch: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+        """:meth:`execute` on the event loop, then one yield.
+
+        Running straight on the loop avoids an executor-thread round trip
+        per batch (the compute holds the GIL either way); the yield lets
+        other connections read, and arriving requests coalesce in the
+        transport buffers into the next batch.
+        """
+        responses = self.execute(shard, batch)
+        await asyncio.sleep(0)
+        return responses
+
     def recovered_worlds(self) -> int:
         """Worlds restored from storage across all shards."""
         return sum(host.recovered_worlds for host in self.hosts)
@@ -188,8 +202,7 @@ def _worker_loop(
     naive: bool,
     store_config: Optional[StoreConfig],
     recover: bool,
-    inbox: multiprocessing.Queue,
-    outbox: multiprocessing.Queue,
+    conn: multiprocessing.connection.Connection,
 ) -> None:
     """One shard worker: execute batches until the stop sentinel arrives.
 
@@ -201,7 +214,7 @@ def _worker_loop(
     The store (when configured) is built here, inside the worker process —
     a sqlite connection must never cross a fork/spawn boundary.  A worker
     started with ``recover=True`` rebuilds its fleet from that store before
-    serving, then reports the recovered-world count on the outbox as its
+    serving, then reports the recovered-world count on the pipe as its
     first message (the pool's restart handshake).
     """
     host = _build_host(shard, naive, store_config)
@@ -210,25 +223,28 @@ def _worker_loop(
         # the dispatcher resumes numbering where the store left off — a
         # restarted server otherwise re-issues seq 1 against a log whose
         # exactly-once marker is far ahead.
-        outbox.put((host.recover(), host.last_batch_seq))
+        conn.send((host.recover(), host.last_batch_seq))
     # Orphan watchdog: a forked worker inherits the parent's file
     # descriptors — including the server's listening socket — so a worker
     # that outlives a SIGKILLed parent keeps the port bound and blocks a
-    # restart.  Getting reparented (getppid changes) is the death signal;
-    # polling the inbox instead of blocking forever lets the loop notice.
+    # restart.  Forked siblings hold copies of the parent's pipe ends, so
+    # end-of-file does not reliably signal the parent's death; getting
+    # reparented (getppid changes) does, and polling lets the loop notice.
     parent = os.getppid()
     while True:
-        try:
-            message = inbox.get(timeout=1.0)
-        except queue_module.Empty:
+        if not conn.poll(1.0):
             if os.getppid() != parent:
                 break
             continue
+        try:
+            message = conn.recv()
+        except EOFError:
+            break
         if message == _STOP:
             break
         if message == _DIE:
             # Injected crash: die the way a real fault would — no cleanup,
-            # no store flush, no queue drain.
+            # no store flush, no pipe drain.
             os._exit(1)
         seq, batch = message
         try:
@@ -240,7 +256,7 @@ def _worker_loop(
                 error_response(request.get("id"), f"shard {shard} worker error: {error!r}")
                 for request in batch
             ]
-        outbox.put(responses)
+        conn.send(responses)
     host.close()
     if host.store is not None:
         host.store.close()
@@ -258,11 +274,16 @@ def _pool_context() -> multiprocessing.context.BaseContext:
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
+def _wake(ready: asyncio.Future) -> None:
+    if not ready.done():
+        ready.set_result(None)
+
+
 class ProcessShardPool:
     """One long-lived worker process per shard, supervised."""
 
-    #: The queue round trip blocks; it must run in an executor thread so
-    #: the event loop keeps reading other connections meanwhile.
+    #: Growing spawns workers and waits for their recovery handshakes, and
+    #: shrinking joins them; a resize runs both in an executor thread.
     runs_in_loop = False
 
     def __init__(
@@ -283,19 +304,22 @@ class ProcessShardPool:
         self.worker_restarts = 0
         self._recovered = 0
         self._context = _pool_context()
+        # Restarts run in executor threads, so two can fork at once: the
+        # lock keeps each new pipe's child end out of every other fork, and
+        # guards the supervision counters.
+        self._lock = threading.Lock()
         self._batch_seqs = [0] * shard_count
-        self._inboxes: List[multiprocessing.Queue] = []
-        self._outboxes: List[multiprocessing.Queue] = []
+        self._conns: List[multiprocessing.connection.Connection] = []
         self._workers: List[multiprocessing.process.BaseProcess] = []
         for shard in range(shard_count):
-            inbox, outbox, worker = self._spawn(shard, recover=recover)
-            self._inboxes.append(inbox)
-            self._outboxes.append(outbox)
+            conn, worker = self._spawn(shard, recover=recover)
+            self._conns.append(conn)
             self._workers.append(worker)
         if recover:
             # The recovery handshake: each worker reports its fleet size
             # before serving, so the front end can report what came back.
-            self._recovered = sum(self._handshake(shard) for shard in range(shard_count))
+            for shard in range(shard_count):
+                self._handshake(shard)
 
     @property
     def durable(self) -> bool:
@@ -307,82 +331,111 @@ class ProcessShardPool:
         return self._recovered
 
     def _spawn(self, shard: int, *, recover: bool):
-        """Fresh queues + process for ``shard`` (initial start and restarts
-        alike — a worker killed mid-``put`` can leave a queue's pipe with a
-        partial pickle, so restarted workers never reuse the old pair)."""
-        inbox = self._context.Queue()
-        outbox = self._context.Queue()
-        worker = self._context.Process(
-            target=_worker_loop,
-            args=(shard, self.naive, self.store_config, recover, inbox, outbox),
-            daemon=True,
-        )
-        worker.start()
-        return inbox, outbox, worker
+        """Fresh pipe + process for ``shard`` (initial start and restarts
+        alike — a worker killed mid-``send`` can leave a partial pickle in
+        its pipe, so restarted workers never reuse the old one)."""
+        with self._lock:
+            conn, child_conn = self._context.Pipe()
+            worker = self._context.Process(
+                target=_worker_loop,
+                args=(shard, self.naive, self.store_config, recover, child_conn),
+                daemon=True,
+            )
+            worker.start()
+            # Only the worker may hold the child end: then the parent's end
+            # reads end-of-file once the worker is gone.
+            child_conn.close()
+        return conn, worker
 
-    def _await_response(self, shard: int) -> Optional[Any]:
-        """The shard's next outbox message, or ``None`` once its worker is dead.
+    def _send(self, shard: int, message: Any) -> bool:
+        """Send ``message`` to ``shard``'s worker; False if the pipe is broken."""
+        try:
+            self._conns[shard].send(message)
+        except OSError:
+            return False
+        return True
 
-        Polls with a timeout instead of blocking forever (the old behaviour
-        hung the dispatcher — and with it every request hashed to the shard —
-        when a worker died mid-batch).  One final poll after observing death
-        catches a response the worker managed to flush before dying.
+    def _receive(self, shard: int) -> Optional[Any]:
+        """The worker's waiting message, or ``None`` once it is dead.
+
+        Called when the pipe or the sentinel is ready.  The pipe is read
+        first, so a response written just before the worker exited still
+        arrives; end-of-file or a reset means the worker died mid-message.
         """
-        outbox = self._outboxes[shard]
-        worker = self._workers[shard]
-        while True:
-            alive = worker.is_alive()
-            try:
-                return outbox.get(timeout=_POLL_INTERVAL)
-            except queue_module.Empty:
-                if not alive:
-                    return None
+        conn = self._conns[shard]
+        try:
+            if conn.poll():
+                return conn.recv()
+        except (EOFError, OSError):
+            pass
+        return None
 
-    def _handshake(self, shard: int) -> int:
-        """A recovering worker's startup report (polled, never a hang).
+    def _wait(self, shard: int) -> Optional[Any]:
+        """Block for the worker's next message (``None`` once it is dead)."""
+        multiprocessing.connection.wait([self._conns[shard], self._workers[shard].sentinel])
+        return self._receive(shard)
 
-        Syncs the dispatcher's batch numbering to the store's committed
-        sequence — never backwards: a mid-flight restart has already
-        assigned the in-flight batch a number past the committed one, and
-        re-dispatch must reuse it.  Returns the recovered-world count.
+    async def _wait_async(self, shard: int) -> Optional[Any]:
+        """:meth:`_wait` without blocking: the event loop watches the pipe
+        and the sentinel, and the dispatcher resumes when either is ready."""
+        loop = asyncio.get_running_loop()
+        ready = loop.create_future()
+        fds = (self._conns[shard].fileno(), self._workers[shard].sentinel)
+        for fd in fds:
+            loop.add_reader(fd, _wake, ready)
+        try:
+            await ready
+        finally:
+            for fd in fds:
+                loop.remove_reader(fd)
+        return self._receive(shard)
+
+    def _handshake(self, shard: int) -> None:
+        """A recovering worker's startup report (never a hang).
+
+        Counts the recovered worlds and syncs the dispatcher's batch
+        numbering to the store's committed sequence — never backwards: a
+        mid-flight restart has already assigned the in-flight batch a
+        number past the committed one, and re-dispatch must reuse it.
         """
-        report = self._await_response(shard)
+        report = self._wait(shard)
         if report is None:
             raise WorkerDiedError(f"shard {shard} worker died while recovering its fleet")
         count, batch_seq = report
-        self._batch_seqs[shard] = max(self._batch_seqs[shard], batch_seq)
-        return count
+        with self._lock:
+            self._recovered += count
+            self._batch_seqs[shard] = max(self._batch_seqs[shard], batch_seq)
 
     def _restart(self, shard: int, *, recover: bool) -> None:
         self._workers[shard].join(timeout=5)
-        inbox, outbox, worker = self._spawn(shard, recover=recover)
-        self._inboxes[shard] = inbox
-        self._outboxes[shard] = outbox
+        self._conns[shard].close()
+        conn, worker = self._spawn(shard, recover=recover)
+        self._conns[shard] = conn
         self._workers[shard] = worker
-        self.worker_restarts += 1
+        with self._lock:
+            self.worker_restarts += 1
         if recover:
-            self._recovered += self._handshake(shard)
+            self._handshake(shard)
 
-    def execute(self, shard: int, batch: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-        """Ship one batch to ``shard``'s worker and block for its responses.
-
-        Supervision lives here: a worker that dies mid-batch is restarted
-        and — when the shard's store is durable — made whole from its log,
-        after which the batch is re-dispatched under its original sequence
-        number (committed ⇒ answered from the store; uncommitted ⇒ re-run
-        from the pre-batch state).  Without durability the caller gets one
-        error response per request instead of a hang.
-        """
+    def _next_seq(self, shard: int) -> int:
         self._batch_seqs[shard] += 1
-        seq = self._batch_seqs[shard]
-        self._inboxes[shard].put((seq, batch))
-        responses = self._await_response(shard)
-        if responses is not None:
-            return responses
+        return self._batch_seqs[shard]
+
+    def _after_death(
+        self, shard: int, seq: int, batch: List[Dict[str, Any]]
+    ) -> List[Dict[str, Any]]:
+        """Supervision for a worker that died with batch ``seq`` in flight.
+
+        The worker is restarted and — when the shard's store is durable —
+        made whole from its log, after which the batch is re-dispatched
+        under its original sequence number (committed ⇒ answered from the
+        store; uncommitted ⇒ re-run from the pre-batch state).  Without
+        durability the caller gets one error response per request instead
+        of a hang.
+        """
         if self.durable:
             self._restart(shard, recover=True)
-            self._inboxes[shard].put((seq, batch))
-            responses = self._await_response(shard)
+            responses = self._wait(shard) if self._send(shard, (seq, batch)) else None
             if responses is None:
                 raise WorkerDiedError(
                     f"shard {shard} worker died again while recovering batch {seq}"
@@ -403,18 +456,37 @@ class ProcessShardPool:
             for request in batch
         ]
 
+    async def dispatch(self, shard: int, batch: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+        """Ship one batch to ``shard``'s worker and await its responses.
+
+        The round trip runs on the event loop; only a worker death moves
+        to the default executor (restart, recovery and re-dispatch block).
+        """
+        seq = self._next_seq(shard)
+        responses = await self._wait_async(shard) if self._send(shard, (seq, batch)) else None
+        if responses is None:
+            responses = await asyncio.get_running_loop().run_in_executor(
+                None, self._after_death, shard, seq, batch
+            )
+        return responses
+
+    def execute(self, shard: int, batch: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+        """Blocking twin of :meth:`dispatch` (same supervision)."""
+        seq = self._next_seq(shard)
+        responses = self._wait(shard) if self._send(shard, (seq, batch)) else None
+        if responses is None:
+            responses = self._after_death(shard, seq, batch)
+        return responses
+
     def kill_worker(self, shard: int) -> None:
         """Crash ``shard``'s worker ungracefully (fault injection).
 
-        The death is asynchronous: the worker ``os._exit``\\ s when it pulls
-        the sentinel, and the next ``execute`` for the shard finds it dead
-        and takes the normal supervision path (durable restart + re-dispatch
-        or per-request error responses).
+        The death is asynchronous: the worker ``os._exit``\\ s when it reads
+        the sentinel, and the next batch for the shard finds it dead and
+        takes the normal supervision path (durable restart + re-dispatch or
+        per-request error responses).
         """
-        try:
-            self._inboxes[shard].put(_DIE)
-        except (ValueError, OSError):  # pragma: no cover - teardown races
-            pass
+        self._send(shard, _DIE)
 
     def grow(self, new_count: int, *, recover: bool = False) -> None:
         """Spawn workers for shards ``shard_count..new_count-1``."""
@@ -424,42 +496,38 @@ class ProcessShardPool:
             raise ValueError("recover=True needs a durable store_config")
         new_shards = range(self.shard_count, new_count)
         for shard in new_shards:
-            inbox, outbox, worker = self._spawn(shard, recover=recover)
-            self._inboxes.append(inbox)
-            self._outboxes.append(outbox)
+            conn, worker = self._spawn(shard, recover=recover)
+            self._conns.append(conn)
             self._workers.append(worker)
             self._batch_seqs.append(0)
         self.shard_count = new_count
         if recover:
             for shard in new_shards:
-                self._recovered += self._handshake(shard)
+                self._handshake(shard)
+
+    def _stop(self, shards: range) -> None:
+        """Stop and reap the workers of ``shards``, then close their pipes."""
+        for shard in shards:
+            if self._workers[shard].is_alive():
+                self._send(shard, _STOP)
+        for shard in shards:
+            worker = self._workers[shard]
+            worker.join(timeout=10)
+            if worker.is_alive():  # pragma: no cover - defensive
+                worker.terminate()
+                worker.join(timeout=5)
+            self._conns[shard].close()
 
     def shrink(self, new_count: int) -> None:
         """Stop workers ``new_count..`` (their worlds must already be gone)."""
         if not 1 <= new_count <= self.shard_count:
             raise ValueError("shrink() needs 1 <= new_count <= shard_count")
-        stopping = list(zip(self._inboxes[new_count:], self._workers[new_count:]))
-        for inbox, worker in stopping:
-            if worker.is_alive():
-                inbox.put(_STOP)
-        for _, worker in stopping:
-            worker.join(timeout=10)
-            if worker.is_alive():  # pragma: no cover - defensive
-                worker.terminate()
-                worker.join(timeout=5)
-        del self._inboxes[new_count:]
-        del self._outboxes[new_count:]
+        self._stop(range(new_count, self.shard_count))
+        del self._conns[new_count:]
         del self._workers[new_count:]
         del self._batch_seqs[new_count:]
         self.shard_count = new_count
 
     def close(self) -> None:
         """Stop every worker and reap the processes."""
-        for inbox, worker in zip(self._inboxes, self._workers):
-            if worker.is_alive():
-                inbox.put(_STOP)
-        for worker in self._workers:
-            worker.join(timeout=10)
-            if worker.is_alive():  # pragma: no cover - defensive
-                worker.terminate()
-                worker.join(timeout=5)
+        self._stop(range(self.shard_count))

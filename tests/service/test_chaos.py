@@ -246,8 +246,8 @@ class TestWorkerKills:
             report, snapshots = await run_load_async("127.0.0.1", server.port, config)
             assert report.errors == 0
             assert verify_snapshots(config, snapshots) == []
-            stats = server.stats()
-            assert stats["worker_restarts"] >= 1
+            assert report.metrics["server"]["worker_restarts"] >= 1
+            assert "worker restarts" in report.as_text()
 
         run(_with_server(body, faults=plan, state_dir=str(tmp_path)))
 

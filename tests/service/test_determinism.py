@@ -126,7 +126,7 @@ class TestSerialVsSharded:
 
 class TestProcessWorkers:
     def test_real_worker_pool_matches_serial_replay(self):
-        """The multiprocessing path: batches crossing real process queues."""
+        """The multiprocessing path: batches crossing real process pipes."""
         trace = build_trace(7, 6, node_count=25)
         serial = replay_serial(trace)
 

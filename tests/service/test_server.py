@@ -89,18 +89,24 @@ class TestFrontend:
 
         run(_with_server(body))
 
-    def test_server_stats_counts_requests_and_batches(self):
+    def test_metrics_counts_requests_and_batches(self):
         async def body(server):
             client = await ServiceClient.connect("127.0.0.1", server.port)
             try:
                 await client.call(protocol.CREATE_WORLD, world="w1", params={"nodes": 20})
                 for _ in range(3):
                     await client.call(protocol.QUERY_STATS, world="w1")
-                stats = await client.call(protocol.SERVER_STATS)
-                assert stats["worlds"] == 1
-                assert stats["requests"] >= 5
-                assert stats["batches"] >= 4
-                assert sum(stats["shard_requests"]) == 4
+                frontend = (await client.call(protocol.METRICS))["frontend"]
+                assert frontend["gauges"]["server.worlds"] == 1
+                assert frontend["counters"]["server.requests_received"] >= 5
+                assert frontend["histograms"]["server.batch_size"]["count"] >= 4
+                # Four world requests plus this op's probe of each shard.
+                assert frontend["counters"]["server.requests"] == 4 + 2
+                # The durability gauges exist only on a server with a store.
+                assert "service.worker_restarts" not in frontend["gauges"]
+                # The deprecated stats op is gone from the wire.
+                response = await client.request("server_stats")
+                assert response["ok"] is False
             finally:
                 await client.close()
 
@@ -133,7 +139,11 @@ class TestLoadAgainstServer:
             assert report.setup_requests == 4
             assert report.requests == 4 * (5 + 1)
             assert verify_snapshots(config, snapshots) == []
-            assert report.server_stats["worlds"] == 4
+            server_counters = report.metrics["server"]
+            assert server_counters["worlds"] == 4
+            assert sum(server_counters["shard_requests"]) >= 4 + report.requests
+            assert server_counters["durable"] is False
+            assert "durability:" not in report.as_text()
             return report
 
         report = run(_with_server(body))
@@ -213,9 +223,9 @@ class TestDurableServer:
             try:
                 listing = await client.call(protocol.LIST_WORLDS)
                 assert list(listing["worlds"]) == ["w1"]
-                stats = await client.call(protocol.SERVER_STATS)
-                assert stats["durable"] is True
-                assert stats["recovered_worlds"] == 1
+                gauges = (await client.call(protocol.METRICS))["frontend"]["gauges"]
+                assert gauges["service.recovered_worlds"] == 1
+                assert gauges["service.worker_restarts"] == 0
                 return await client.call(protocol.SNAPSHOT, world="w1")
             finally:
                 await client.close()
