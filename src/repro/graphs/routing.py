@@ -132,7 +132,17 @@ class SourceRouteCache:
         self.misses = 0
 
     def sync(self, adjacency: Adjacency) -> None:
-        """Adopt this epoch's weighted adjacency, invalidating stale sources."""
+        """Adopt this epoch's weighted adjacency, invalidating stale sources.
+
+        The cache keeps a reference to ``adjacency`` (trees are computed from
+        it lazily), so a changed topology must arrive as a new mapping, never
+        as an in-place edit of the previous one.
+        """
+        if self._adjacency is not None and adjacency == self._adjacency:
+            # Nothing changed (a repeat read of a quiescent topology): every
+            # cached tree stays valid, so skip rebuilding the weight map.
+            self._adjacency = adjacency
+            return
         new_weights = {
             (u, v) if u < v else (v, u): weight
             for u, neighbors in adjacency.items()

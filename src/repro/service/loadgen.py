@@ -607,6 +607,7 @@ def _metrics_report(
             "snapshot_cache": rate("cache.snapshot"),
             "route_cache": rate("cache.route"),
             "derived_cache": rate("cache.derived"),
+            "frontend_read_cache": rate("server.read_cache"),
         },
         "server": server,
         "registry": merged_after,

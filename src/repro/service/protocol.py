@@ -45,6 +45,8 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Optional, Tuple
 
+from repro.io.results import canonical_json
+
 # ---------------------------------------------------------------------- #
 # Operations
 # ---------------------------------------------------------------------- #
@@ -241,7 +243,22 @@ WORLD_DELETED = "WORLD_DELETED"
 # ---------------------------------------------------------------------- #
 def encode_message(message: Dict[str, Any]) -> bytes:
     """Canonical single-line JSON encoding (sorted keys, compact, ``\\n``)."""
-    return (json.dumps(message, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+    return encode_result(message) + b"\n"
+
+
+def encode_result(result: Any) -> bytes:
+    """The canonical bytes ``result`` takes inside an encoded response."""
+    return json.dumps(result, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def ok_line(request_id: Any, result: bytes) -> bytes:
+    """``encode_message(ok_response(request_id, r))`` for ``result`` =
+    ``encode_result(r)``, spliced without re-encoding ``r``.
+
+    Sorted keys put ``id`` < ``ok`` < ``result``, and nested values encode
+    the same inside the envelope as alone, so the splice is byte-identical.
+    """
+    return b'{"id":' + encode_result(request_id) + b',"ok":true,"result":' + result + b"}\n"
 
 
 def decode_message(line: bytes) -> Dict[str, Any]:
@@ -250,6 +267,16 @@ def decode_message(line: bytes) -> Dict[str, Any]:
     if not isinstance(payload, dict):
         raise ValueError("protocol messages must be JSON objects")
     return payload
+
+
+def read_key(op: str, params: Dict[str, Any]) -> str:
+    """Cache key of a read: the op plus the canonical serialization of params.
+
+    The shard's snapshot cache and the front end's read cache both key by
+    this, so a front-end hit is exactly a read the shard would answer from
+    its own cache.
+    """
+    return f"{op}:{canonical_json(params)}"
 
 
 def ok_response(request_id: Any, result: Any) -> Dict[str, Any]:

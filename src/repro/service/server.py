@@ -37,6 +37,12 @@ subscribed world pushes a terminal ``deleted`` frame; a resize re-collects
 every subscribed world from its new owner, so sequence numbers never gap
 or duplicate across migrations.
 
+**Read cache.**  A repeat read of a world that no write has been routed
+to since the read was last answered is served on the event loop from the
+canonical bytes the shard produced (:mod:`repro.service.readcache`): no
+queue, no batch, no pipe round trip.  Writes drop the world's entries when
+they are routed; a worker restart or a resize drops them all.
+
 **Admission control.**  Each shard's pending queue is bounded
 (``max_pending``, the high watermark).  A request arriving at a saturated
 queue is answered immediately with a structured ``RETRY_LATER`` error
@@ -106,11 +112,12 @@ from repro.obs.metrics import (
 )
 from repro.service import protocol
 from repro.service.faults import FaultInjector, FaultPlan
+from repro.service.readcache import ReadCache
 from repro.service.sharding import HashRing
 from repro.service.storage import StoreConfig, scan_world_ids
 from repro.service.subs.manager import SubscriptionManager
 from repro.service.workers import InlineShardPool, ProcessShardPool
-from repro.service.worlds import DEFAULT_SNAPSHOT_EVERY
+from repro.service.worlds import DEFAULT_SNAPSHOT_EVERY, SNAPSHOT_CACHE_MAX_ENTRIES
 
 #: Default per-shard pending-queue bound (the high watermark).  Deep
 #: enough that a healthy fleet never sheds, shallow enough that a frozen
@@ -171,6 +178,11 @@ class FleetServer:
         # Subscription registry: which connections watch which worlds, and
         # the machinery that pushes diff frames to them.
         self._subs = SubscriptionManager(self.metrics)
+        # Repeat reads of unwritten worlds are answered from here, on the
+        # event loop (see repro.service.readcache).  Naive mode is the
+        # one-request-one-rebuild baseline, so it caches nothing.
+        self.read_cache = ReadCache(0 if naive else SNAPSHOT_CACHE_MAX_ENTRIES)
+        self._restarts_seen = 0
         self._injector: Optional[FaultInjector] = (
             FaultInjector(faults) if faults is not None else None
         )
@@ -405,6 +417,9 @@ class FleetServer:
                     if kill:
                         self.metrics.counter("server.faults.workers_killed").inc()
                         self._pool.kill_worker(shard)
+                        # Reads routed while the doomed batch runs must
+                        # reach the shard, not the worlds it is losing.
+                        self.read_cache.clear()
                 # While a process shard executes, the event loop keeps
                 # reading other connections — that concurrency is what lets
                 # the next batch coalesce while this one executes.
@@ -413,6 +428,11 @@ class FleetServer:
                     responses = await self._pool.dispatch(shard, requests)
                 finally:
                     self._busy[shard] = False
+                if self._pool.worker_restarts != self._restarts_seen:
+                    # A restarted worker may have lost its worlds (no
+                    # durable store): nothing cached before it may answer.
+                    self._restarts_seen = self._pool.worker_restarts
+                    self.read_cache.clear()
                 elapsed = clock.wall() - now
                 self.metrics.histogram("server.execute_seconds").observe(elapsed)
                 self._avg_request_seconds = (
@@ -425,7 +445,7 @@ class FleetServer:
             if self._stopping is not None and self._stopping.is_set():
                 return
 
-    def _resolved(self, response: Dict[str, Any]) -> asyncio.Future:
+    def _resolved(self, response: Any) -> asyncio.Future:
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         future.set_result(response)
         return future
@@ -546,6 +566,14 @@ class FleetServer:
             self._parked.append((request, future))
             self.metrics.counter("server.resize.parked_requests").inc()
             return future
+        op = request["op"]
+        if op in protocol.READ_OPS:
+            key = protocol.read_key(op, request.get("params", {}))
+            result = self.read_cache.lookup(world, key)
+            if result is not None:
+                return self._resolved(protocol.ok_line(request_id, result))
+        elif op != protocol.CACHE_STATS:
+            self.read_cache.invalidate(world)
         shard = self.ring.shard_of(world)
         pending = self._pending[shard]
         if self._shedding[shard] and len(pending) <= self.max_pending // 2:
@@ -565,7 +593,8 @@ class FleetServer:
                 )
             )
         future = self._enqueue(shard, request)
-        op = request["op"]
+        if op in protocol.READ_OPS:
+            return self.read_cache.watch(world, key, request_id, future)
         # Placement is maintained here, at routing time, with the routed
         # shard captured — a resize computes its moving set from this map,
         # so a create must be visible the moment it is queued, not when its
@@ -785,7 +814,8 @@ class FleetServer:
         async with write_lock:
             if writer.is_closing():
                 return
-            payload = protocol.encode_message(response)
+            # A read arrives as its finished line (see ReadCache.watch).
+            payload = response if isinstance(response, bytes) else protocol.encode_message(response)
             writer.write(payload)
             if duplicate:
                 self.metrics.counter("server.faults.responses_duplicated").inc()
@@ -925,6 +955,7 @@ class FleetServer:
             # as the event loop is concerned.
             self.ring = new_ring
             self.shards = new_shards
+            self.read_cache.clear()
             parked = self._parked or []
             self._parked = None
             self._park_moving = None
@@ -952,6 +983,7 @@ class FleetServer:
                 self._parked = None
                 self._park_moving = None
                 self._next_ring = None
+                self.read_cache.clear()
                 for request, future in parked:
                     self._chain(self._route(request), future)
 
@@ -1005,8 +1037,13 @@ class FleetServer:
         )
         self.metrics.gauge("server.worlds").set(len(self._worlds))
         self.metrics.gauge("subs.active").set(self._subs.active_count)
+        self.metrics.gauge("server.read_cache.entries").set(self.read_cache.entries)
         return self.metrics.snapshot(
-            extra_counters={"server.requests_received": self.requests_received}
+            extra_counters={
+                "server.requests_received": self.requests_received,
+                "server.read_cache.hits": self.read_cache.hits,
+                "server.read_cache.misses": self.read_cache.misses,
+            }
         )
 
     def _refresh_durability_metrics(self) -> None:

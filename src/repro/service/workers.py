@@ -52,6 +52,7 @@ shard's recovery never stalls the event loop or the other shards):
 from __future__ import annotations
 
 import asyncio
+import gc
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -217,6 +218,11 @@ def _worker_loop(
     serving, then reports the recovered-world count on the pipe as its
     first message (the pool's restart handshake).
     """
+    # A forked worker inherits the front end's whole heap (tens of thousands
+    # of objects it never touches).  Left in the tracked generations, every
+    # full collection re-scans them, and those pauses land on request
+    # latency; freezing moves them to the permanent generation once.
+    gc.freeze()
     host = _build_host(shard, naive, store_config)
     if recover:
         # The handshake also reports the last committed batch sequence so

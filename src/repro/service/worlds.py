@@ -99,11 +99,6 @@ class RequestError(ValueError):
     """A request that is well-formed on the wire but invalid for this world."""
 
 
-def _params_key(op: str, params: Dict[str, Any]) -> str:
-    """Snapshot-cache key: the op plus the canonical serialization of params."""
-    return f"{op}:{canonical_json(params)}"
-
-
 def _require_int(value: Any, message: str, *, minimum: Optional[int] = None) -> int:
     """``value`` as a true integer, or :class:`RequestError` with ``message``.
 
@@ -289,7 +284,7 @@ class World:
         """
         if self.naive:
             return compute()
-        key = _params_key(op, params)
+        key = protocol.read_key(op, params)
         if key in self._snapshot_cache:
             self.cache_hits += 1
             # Hand out a copy, never the stored value: a caller mutating a

@@ -22,7 +22,7 @@ produce identical executions.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.net.energy import EnergyLedger
 from repro.net.network import Network
@@ -52,7 +52,11 @@ class SimulationEngine:
         self.trace = MessageTrace()
         self.energy = energy_ledger if energy_ledger is not None else EnergyLedger(network.node_ids)
         self.now: float = 0.0
-        self._queue: List[Event] = []
+        # Heap entries are ``(time, priority, sequence, event)``: tuple
+        # comparison runs in C, where ``Event.__lt__`` would be a Python
+        # call per comparison.  ``sequence`` is unique, so the order is the
+        # events' own and the event itself is never compared.
+        self._queue: List[Tuple[float, int, int, Event]] = []
         self._processes: Dict[NodeId, Process] = {}
         self._contexts: Dict[NodeId, ProtocolContext] = {}
         self._seen_envelopes: Dict[NodeId, Set[int]] = {}
@@ -149,7 +153,7 @@ class SimulationEngine:
     # Event loop
     # ------------------------------------------------------------------ #
     def _push(self, event: Event) -> None:
-        heapq.heappush(self._queue, event)
+        heapq.heappush(self._queue, (event.time, event.priority, event.sequence, event))
 
     def _start_processes(self) -> None:
         if self._started:
@@ -172,7 +176,7 @@ class SimulationEngine:
         """Dispatch the next event.  Returns ``False`` when the queue is empty."""
         self._start_processes()
         while self._queue:
-            event = heapq.heappop(self._queue)
+            event = heapq.heappop(self._queue)[3]
             if event.cancelled:
                 continue
             self.now = max(self.now, event.time)
@@ -188,11 +192,11 @@ class SimulationEngine:
         while self._queue:
             if max_events is not None and dispatched >= max_events:
                 return
-            next_event = self._queue[0]
+            next_time, _, _, next_event = self._queue[0]
             if next_event.cancelled:
                 heapq.heappop(self._queue)
                 continue
-            if until is not None and next_event.time > until:
+            if until is not None and next_time > until:
                 return
             if not self.step():
                 return

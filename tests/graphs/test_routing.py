@@ -280,6 +280,26 @@ class TestSourceRouteCache:
                     adjacency, source
                 )
 
+    def test_equal_adjacency_keeps_every_cached_tree(self):
+        from repro.graphs.routing import SourceRouteCache, canonical_single_source_paths
+
+        edges = [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 4.0), (2, 3, 1.0)]
+        cache = SourceRouteCache()
+        cache.sync(self._adjacency(edges))
+        for source in range(4):
+            cache.paths(source)
+        assert (cache.hits, cache.misses) == (0, 4)
+        # An equal but distinct mapping, as a repeat read builds it.
+        again = self._adjacency(edges)
+        cache.sync(again)
+        for source in range(4):
+            assert cache.paths(source) == canonical_single_source_paths(again, source)
+        assert (cache.hits, cache.misses) == (4, 4)
+        # A changed weight is still seen after the equal sync.
+        cache.sync(self._adjacency(edges[:-1] + [(2, 3, 0.5)]))
+        cache.paths(3)
+        assert cache.misses == 5
+
     def test_unrelated_removal_keeps_cached_tree(self):
         from repro.graphs.routing import SourceRouteCache
 

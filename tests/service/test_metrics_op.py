@@ -34,7 +34,7 @@ async def _exercise(client, worlds=4, steps=3):
             await client.call(protocol.ADVANCE, world=world, params={"steps": 1})
             await client.call(protocol.QUERY_STATS, world=world)
         await client.call(protocol.SNAPSHOT, world=world)
-        await client.call(protocol.SNAPSHOT, world=world)  # snapshot-cache hit
+        await client.call(protocol.SNAPSHOT, world=world)  # read-cache hit
 
 
 class TestMetricsOp:
@@ -64,12 +64,15 @@ class TestMetricsOp:
             # The metrics op itself is answered at the front end (so it is
             # received but never dispatched), while its four shard_metrics
             # probes are dispatched without being received over the wire.
+            # Read-cache hits are received and answered at the front end.
             assert (
-                counters["server.requests"]
+                counters["server.requests"] + counters["server.read_cache.hits"]
                 == counters["server.requests_received"] - 1 + 4
             )
             # Internal probes are excluded from the host workload count.
-            assert counters["cache.snapshot.hits"] >= 4  # one repeat snapshot per world
+            # The repeat snapshot of each world is a front-end hit.
+            assert counters["server.read_cache.hits"] == 4
+            assert frontend["gauges"]["server.read_cache.entries"] >= 4
             assert counters["topology.full_builds"] >= 4
             assert counters["world.writes"] > 0
 

@@ -100,8 +100,10 @@ class TestFrontend:
                 assert frontend["gauges"]["server.worlds"] == 1
                 assert frontend["counters"]["server.requests_received"] >= 5
                 assert frontend["histograms"]["server.batch_size"]["count"] >= 4
-                # Four world requests plus this op's probe of each shard.
-                assert frontend["counters"]["server.requests"] == 4 + 2
+                # Four world requests plus this op's probe of each shard;
+                # the read-cache hits never reach a shard.
+                counters = frontend["counters"]
+                assert counters["server.requests"] + counters["server.read_cache.hits"] == 4 + 2
                 # The durability gauges exist only on a server with a store.
                 assert "service.worker_restarts" not in frontend["gauges"]
                 # The deprecated stats op is gone from the wire.
@@ -144,6 +146,7 @@ class TestLoadAgainstServer:
             assert sum(server_counters["shard_requests"]) >= 4 + report.requests
             assert server_counters["durable"] is False
             assert "durability:" not in report.as_text()
+            assert "frontend_read_cache" in report.metrics["cache_hit_rates"]
             return report
 
         report = run(_with_server(body))

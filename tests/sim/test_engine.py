@@ -203,6 +203,33 @@ class TestTimers:
         assert process.timers == []
 
 
+class TestEventOrder:
+    def test_equal_time_and_priority_pop_in_creation_order(self):
+        network = _three_node_line()
+        engine = SimulationEngine(network)
+        process = RecordingProcess(0)
+        engine.register(0, process)
+        # Interleave two instants so ties are broken inside a mixed heap.
+        for tag in range(12):
+            engine.schedule_timer(0, 2.0 if tag % 3 == 0 else 1.0, tag)
+        engine.run_to_completion()
+        assert [tag for _, tag in process.timers] == [
+            1, 2, 4, 5, 7, 8, 10, 11, 0, 3, 6, 9
+        ]
+
+    def test_cancelled_head_is_skipped_by_run(self):
+        network = _three_node_line()
+        engine = SimulationEngine(network)
+        process = RecordingProcess(0)
+        engine.register(0, process)
+        engine.schedule_timer(0, 1.0, "dropped").cancel()
+        engine.schedule_timer(0, 1.0, "kept")
+        engine.schedule_timer(0, 9.0, "late")
+        engine.run(until=5.0)
+        assert process.timers == [(1.0, "kept")]
+        assert engine.pending_events() == 1
+
+
 class TestRunControls:
     def test_run_until_time_bound(self):
         network = _three_node_line()

@@ -6,6 +6,7 @@ packet trace, which the hypothesis battery checks by serializing the
 engine's trace records from two independent runs.
 """
 
+import hashlib
 import math
 
 import pytest
@@ -215,6 +216,21 @@ class TestTraceDeterminism:
             run = run_traffic(network, graph, spec, seed=seed)
             payloads.append(results_to_json(run.report))
         assert payloads[0] == payloads[1]
+
+    @pytest.mark.parametrize(
+        "interference, digest",
+        [
+            (False, "92efeea7ab05376bfb809bf2200242212ffb01196abccaca75a539bbe034ca35"),
+            (True, "a8442b79ae307c0967e39b8cbc0fb5514aad4d5ecd5a01e7574966871e9a8d7a"),
+        ],
+    )
+    def test_trace_json_is_pinned(self, interference, digest):
+        """The trace's bytes are pinned: a different digest means the
+        engine popped events in a different order."""
+        spec = TrafficSpec(kind="cbr", flow_count=5, packets_per_flow=3, interference=interference)
+        network, graph = small_world(seed=7, node_count=25)
+        payload = results_to_json(run_traffic(network, graph, spec, seed=3).trace_records)
+        assert hashlib.sha256(payload.encode("utf-8")).hexdigest() == digest
 
     def test_different_seeds_change_the_workload(self):
         spec = TrafficSpec(kind="cbr", flow_count=5, packets_per_flow=3)
