@@ -27,7 +27,7 @@ from collections import deque
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.io.results import results_to_json
-from repro.service import protocol
+from repro.service import fleet, protocol
 from repro.service.sharding import HashRing
 from repro.service.storage.base import WorldStore
 from repro.service.subs.mirror import WorldMirror
@@ -129,15 +129,16 @@ class ShardedReplayer:
     def resize(self, new_shards: int) -> int:
         """Change the shard count, migrating moved worlds between hosts.
 
-        The in-process mirror of the server's live ``resize``: every world
+        The in-process twin of the server's live ``resize``: every world
         whose ring assignment changes is drained off its current host
         (``migrate_out`` — serializing it and purging its durable history)
         and adopted by its new owner (``migrate_in``), through the same
-        request path the server uses.  Shrinking closes the dying hosts
-        only after their worlds have moved.  Returns the number of worlds
-        migrated.  The battery interleaves ``resize`` with ``execute`` and
-        ``crash`` segments and requires final snapshots byte-identical to
-        :func:`replay_serial` of the same trace.
+        :func:`repro.service.fleet.migrate` exchange the server drives.
+        Shrinking closes the dying hosts only after their worlds have
+        moved.  Returns the number of worlds migrated.  The battery
+        interleaves ``resize`` with ``execute`` and ``crash`` segments and
+        requires final snapshots byte-identical to :func:`replay_serial`
+        of the same trace.
         """
         if new_shards < 1:
             raise ValueError("a replayer needs at least one shard")
@@ -151,31 +152,16 @@ class ShardedReplayer:
             if self._stores[shard] is not None:
                 host.recover()
             self.hosts.append(host)
-        moving: List[tuple] = []
-        for shard, host in enumerate(self.hosts[:old_shards]):
-            for world_id in host.world_ids():
-                if new_ring.shard_of(world_id) != shard:
-                    moving.append((world_id, shard))
+        placement = [
+            (world_id, shard)
+            for shard, host in enumerate(self.hosts[:old_shards])
+            for world_id in host.world_ids()
+        ]
         moved = 0
-        for world_id, source in sorted(moving):
-            out = self.hosts[source].execute(
-                {"id": None, "op": protocol.MIGRATE_OUT, "world": world_id}
-            )
-            if not out.get("ok"):  # pragma: no cover - worlds cannot vanish here
-                raise RuntimeError(f"migrate_out of {world_id!r} failed: {out.get('error')}")
-            landed = self.hosts[new_ring.shard_of(world_id)].execute(
-                {
-                    "id": None,
-                    "op": protocol.MIGRATE_IN,
-                    "world": world_id,
-                    "params": {"state": out["result"]["state"]},
-                }
-            )
-            if not landed.get("ok"):  # pragma: no cover - adoption cannot fail
-                raise RuntimeError(
-                    f"migrate_in of {world_id!r} failed: {landed.get('error')}"
-                )
-            moved += 1
+        for world_id, source in fleet.misplaced(placement, new_ring):
+            exchange = fleet.migrate(world_id, source, new_ring.shard_of(world_id))
+            if fleet.run(exchange, self._execute_on):
+                moved += 1
         for shard in range(new_shards, old_shards):
             self.hosts[shard].close()
             if self._stores[shard] is not None:
@@ -225,6 +211,9 @@ class ShardedReplayer:
             responses = self.hosts[shard].execute_batch(batch)
             self._collect_frames(shard, batch, responses)
 
+    def _execute_on(self, shard: int, request: Dict[str, Any]) -> Dict[str, Any]:
+        return self.hosts[shard].execute(request)
+
     def attach_mirror(self, world_id: str) -> WorldMirror:
         """Subscribe in-process: track the world and mirror its stream.
 
@@ -260,32 +249,9 @@ class ShardedReplayer:
         """Mirror maintenance after a batch, as the server front end does."""
         if not self.mirrors:
             return
-        worlds = set()
-        for request, response in zip(batch, responses):
-            if request.get("op") not in protocol.PUSH_TRIGGER_OPS:
-                continue
-            if not response.get("ok"):
-                continue
-            world = request.get("world")
-            if world in self.mirrors:
-                worlds.add(world)
-        if not worlds:
-            return
-        cursors = {
-            world: (-1 if self.mirrors[world].seq is None else self.mirrors[world].seq)
-            for world in sorted(worlds)
-        }
-        collected = self.hosts[shard].execute(
-            {
-                "id": None,
-                "op": protocol.SUBS_COLLECT,
-                "world": f"@shard:{shard}",
-                "params": {"cursors": cursors},
-            }
-        )
-        if collected.get("ok"):
-            for frame in collected["result"]["frames"]:
-                self.mirrors[frame["world"]].apply(frame)
+        worlds = fleet.committed(batch, responses, self.mirrors.__contains__)
+        if worlds:
+            self._apply_frames(shard, fleet.collect(shard, self._cursors(worlds)))
 
     def collect_all_frames(self) -> None:
         """Collect outstanding frames for every mirrored world.
@@ -293,25 +259,22 @@ class ShardedReplayer:
         Called after :meth:`resize` (migrated trackers may hold frames no
         per-batch collect has fetched yet) or at a comparison point.
         """
-        by_shard: Dict[int, Dict[str, int]] = {}
-        for world, mirror in sorted(self.mirrors.items()):
-            if mirror.deleted:
-                continue
-            shard = self.ring.shard_of(world)
-            cursor = -1 if mirror.seq is None else mirror.seq
-            by_shard.setdefault(shard, {})[world] = cursor
-        for shard, cursors in sorted(by_shard.items()):
-            collected = self.hosts[shard].execute(
-                {
-                    "id": None,
-                    "op": protocol.SUBS_COLLECT,
-                    "world": f"@shard:{shard}",
-                    "params": {"cursors": cursors},
-                }
-            )
-            if collected.get("ok"):
-                for frame in collected["result"]["frames"]:
-                    self.mirrors[frame["world"]].apply(frame)
+        live = [world for world, mirror in self.mirrors.items() if not mirror.deleted]
+        for shard, request in fleet.collect_all(self.ring, self._cursors(live)):
+            self._apply_frames(shard, request)
+
+    def _cursors(self, worlds: List[str]) -> Dict[str, int]:
+        """Each mirror's collect cursor (-1 before it has seen a frame)."""
+        return {
+            world: -1 if self.mirrors[world].seq is None else self.mirrors[world].seq
+            for world in worlds
+        }
+
+    def _apply_frames(self, shard: int, request: Dict[str, Any]) -> None:
+        collected = self._execute_on(shard, request)
+        if collected.get("ok"):
+            for frame in collected["result"]["frames"]:
+                self.mirrors[frame["world"]].apply(frame)
 
     def mirror_snapshots(self) -> Dict[str, str]:
         """Canonical JSON of each live mirror's reconstructed snapshot."""
@@ -343,10 +306,9 @@ def replay_sharded(
     shards: int = 2,
     schedule_seed: int = 0,
     max_batch: int = 8,
-    naive: bool = False,
 ) -> Dict[str, str]:
     """One-shot sharded replay: execute the whole trace, return snapshots."""
-    replayer = ShardedReplayer(shards, naive=naive)
+    replayer = ShardedReplayer(shards)
     try:
         replayer.execute(trace, schedule_seed=schedule_seed, max_batch=max_batch)
         return replayer.snapshots()

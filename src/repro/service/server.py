@@ -71,12 +71,15 @@ moving world is drained off its old shard (``migrate_out`` rides the
 normal batch path, so the shard's queued work for that world completes
 first), restored on its new owner (``migrate_in``), and the ring is then
 swapped atomically before the parked requests replay in arrival order.
-On a durable fleet the migration itself is durable: the outbound shard
-purges the world's log in the same commit, and the inbound shard logs the
-adopted state.  Startup heals placement the same way — a state directory
-written under a different ``--shards`` (including shard files beyond the
-new fleet) has its worlds migrated to their ring-correct shards before the
-server reports ready.
+The exchange and its failure policy live in :mod:`repro.service.fleet`,
+which :class:`~repro.service.replay.ShardedReplayer` drives too.  On a
+durable fleet the migration itself is durable: the outbound shard purges
+the world's log in the same commit, and the inbound shard logs the
+adopted state.  Startup heals placement the same way — a state directory written under a different ``--shards``
+has its worlds migrated to their ring-correct shards before the server
+reports ready; shard files beyond the fleet are reached by a temporarily
+grown runtime.  A shutdown lets an in-flight migration land and starts no
+other; the next start heals whatever did not move.
 
 **Durability.**  ``state_dir`` attaches a sqlite
 :class:`~repro.service.storage.sqlite.SqliteStore` per shard (one database
@@ -110,7 +113,7 @@ from repro.obs.metrics import (
     merge_snapshots,
     summarize_snapshot,
 )
-from repro.service import protocol
+from repro.service import fleet, protocol
 from repro.service.faults import FaultInjector, FaultPlan
 from repro.service.readcache import ReadCache
 from repro.service.sharding import HashRing
@@ -211,6 +214,8 @@ class FleetServer:
         self._park_moving: Optional[Set[str]] = None
         self._next_ring: Optional[HashRing] = None
         self._resizing = False
+        # Migrations in flight; stop() lets them land (see _exchange).
+        self._migrating = 0
         # Outstanding create futures — a resize drains these before it
         # computes the set of moving worlds, so no create can land on a
         # shard the swap is about to reroute.
@@ -263,15 +268,18 @@ class FleetServer:
     async def stop(self) -> None:
         """Stop accepting, drain in-flight work, stop the shard pool.
 
-        Queued-but-undispatched requests (and requests parked by a resize)
-        are failed with a structured ``SHUTTING_DOWN`` error; in-flight
-        batches finish and their responses flush before connections close.
+        An in-flight migration lands first.  Then queued-but-undispatched
+        requests (and requests parked by a resize) are failed with a
+        structured ``SHUTTING_DOWN`` error; in-flight batches finish and
+        their responses flush before connections close.
         """
         if self._stopping is not None:
             self._stopping.set()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
+        while self._migrating:
+            await asyncio.sleep(0.01)
         shed = self.metrics.counter("server.shutdown_failed_requests")
         for pending in self._pending:
             while pending:
@@ -324,60 +332,46 @@ class FleetServer:
 
         Runs once at startup: a state directory written under a different
         shard count (or interrupted mid-resize) has worlds in the wrong
-        files, including files *beyond* the current fleet.  In-fleet
-        strays migrate through their own worker; out-of-fleet files are
-        opened parent-side just long enough to drain them.
+        files, including files *beyond* the current fleet, which the
+        runtime grows over for the heal and shrinks off afterwards.
         """
-        misplaced = sorted(
-            (world, shard)
-            for world, shard in self._worlds.items()
-            if shard != self.ring.shard_of(world)
-        )
-        if not misplaced:
+        plan = fleet.misplaced(self._worlds.items(), self.ring)
+        if not plan:
             return
-        healed = self.metrics.counter("server.placement_healed")
-        for world, file_shard in misplaced:
-            if file_shard < self.shards:
-                out = await self._submit_to_shard(
-                    file_shard, {"id": None, "op": protocol.MIGRATE_OUT, "world": world}
-                )
-                state = out["result"]["state"] if out.get("ok") else None
-            else:
-                state = self._export_stray(file_shard, world)
-            if state is None:
-                continue
-            target = self.ring.shard_of(world)
-            response = await self._submit_to_shard(
-                target,
-                {
-                    "id": None,
-                    "op": protocol.MIGRATE_IN,
-                    "world": world,
-                    "params": {"state": state},
-                },
-            )
-            if response.get("ok"):
+        reach = max(shard for _, shard in plan) + 1
+        if reach > self.shards:
+            await self._grow_runtime(reach)
+        healed = await self._migrate_all(plan, self.ring)
+        self.metrics.counter("server.placement_healed").inc(healed)
+        if reach > self.shards:
+            await self._shrink_runtime(self.shards)
+
+    async def _migrate_all(self, plan: List[Tuple[str, int]], ring: HashRing) -> int:
+        """Move each planned ``(world, shard)`` to its ``ring`` shard;
+        return how many landed.  None starts once the server is stopping."""
+        moved = 0
+        for world, source in plan:
+            if self._stopping.is_set():
+                break
+            target = ring.shard_of(world)
+            if await self._exchange(fleet.migrate(world, source, target)):
                 self._worlds[world] = target
-                healed.inc()
+                moved += 1
+        return moved
 
-    def _export_stray(self, file_shard: int, world: str) -> Optional[str]:
-        """Drain one world out of a shard file beyond the fleet (no worker
-        owns it, so a throwaway parent-side host does the export)."""
-        from repro.service.workers import _build_host
-
-        host = _build_host(file_shard, self.naive, self.store_config)
+    async def _exchange(self, exchange: fleet.Exchange) -> Any:
+        """Drive a fleet exchange through the shard queues.  Its steps skip
+        the stop gate: a started migration must land, and stop() waits."""
+        self._migrating += 1
+        response = None
         try:
-            host.recover(eager=False)
-            response = host.execute(
-                {"id": None, "op": protocol.MIGRATE_OUT, "world": world}
-            )
+            while True:
+                shard, request = exchange.send(response)
+                response = await self._enqueue(shard, request)
+        except StopIteration as done:
+            return done.value
         finally:
-            host.close(flush=False)
-            if host.store is not None:
-                host.store.close()
-        if not response.get("ok"):
-            return None
-        return response["result"]["state"]
+            self._migrating -= 1
 
     # ------------------------------------------------------------------ #
     # Dispatch (one batch in flight per shard)
@@ -442,7 +436,7 @@ class FleetServer:
                     if not future.done():
                         future.set_result(response)
                 self._maybe_collect(shard, requests, responses)
-            if self._stopping is not None and self._stopping.is_set():
+            if self._stopping is not None and self._stopping.is_set() and not self._migrating:
                 return
 
     def _resolved(self, response: Any) -> asyncio.Future:
@@ -461,9 +455,6 @@ class FleetServer:
             return self._resolved(self._shutting_down_error(request.get("id")))
         return self._enqueue(shard, request)
 
-    async def _submit_to_shard(self, shard: int, request: Dict[str, Any]) -> Dict[str, Any]:
-        return await self._enqueue_or_fail(shard, request)
-
     # ------------------------------------------------------------------ #
     # Subscriptions (front-end side; see repro.service.subs)
     # ------------------------------------------------------------------ #
@@ -477,27 +468,11 @@ class FleetServer:
         """
         if self._subs.active_count == 0:
             return
-        worlds = set()
-        for request, response in zip(requests, responses):
-            if request.get("op") not in protocol.PUSH_TRIGGER_OPS:
-                continue
-            if not response.get("ok"):
-                continue
-            world = request.get("world")
-            if self._subs.is_subscribed(world):
-                worlds.add(world)
+        worlds = fleet.committed(requests, responses, self._subs.is_subscribed)
         if not worlds:
             return
-        cursors = {world: self._subs.cursor(world) for world in sorted(worlds)}
-        future = self._enqueue_or_fail(
-            shard,
-            {
-                "id": None,
-                "op": protocol.SUBS_COLLECT,
-                "world": f"@shard:{shard}",
-                "params": {"cursors": cursors},
-            },
-        )
+        cursors = {world: self._subs.cursor(world) for world in worlds}
+        future = self._enqueue_or_fail(shard, fleet.collect(shard, cursors))
         future.add_done_callback(self._subs.on_collect_response)
 
     def _collect_subscribed(self) -> None:
@@ -509,22 +484,13 @@ class FleetServer:
         new owner — no gap, and the per-subscriber dedup absorbs any
         overlap with a collect that was already in flight.
         """
-        by_shard: Dict[int, Dict[str, int]] = {}
-        for world in self._subs.subscribed_worlds():
-            if world not in self._worlds:
-                continue
-            shard = self.ring.shard_of(world)
-            by_shard.setdefault(shard, {})[world] = self._subs.cursor(world)
-        for shard, cursors in sorted(by_shard.items()):
-            future = self._enqueue_or_fail(
-                shard,
-                {
-                    "id": None,
-                    "op": protocol.SUBS_COLLECT,
-                    "world": f"@shard:{shard}",
-                    "params": {"cursors": cursors},
-                },
-            )
+        cursors = {
+            world: self._subs.cursor(world)
+            for world in self._subs.subscribed_worlds()
+            if world in self._worlds
+        }
+        for shard, request in fleet.collect_all(self.ring, cursors):
+            future = self._enqueue_or_fail(shard, request)
             future.add_done_callback(self._subs.on_collect_response)
 
     async def _finish_subscribe(
@@ -894,7 +860,6 @@ class FleetServer:
         self.metrics.counter("server.resizes").inc()
         old_shards = self.shards
         new_ring = HashRing(new_shards)
-        moved = 0
         try:
             # Phase 0: raise the park gate, then drain outstanding creates
             # so the moving set below is complete.
@@ -902,54 +867,14 @@ class FleetServer:
             self._parked = []
             if self._create_futures:
                 await asyncio.gather(*list(self._create_futures), return_exceptions=True)
-            moving = sorted(
-                world
-                for world, shard in self._worlds.items()
-                if new_ring.shard_of(world) != self.ring.shard_of(world)
-            )
-            self._park_moving = set(moving)
+            plan = fleet.misplaced(self._worlds.items(), new_ring)
+            self._park_moving = {world for world, _ in plan}
             # Phase 1: grow the runtime first so target shards exist.
             if new_shards > old_shards:
                 await self._grow_runtime(new_shards)
-            # Phase 2: migrate each moving world.  migrate_out rides the
-            # source shard's normal batch path, so every request already
-            # queued for the world executes first — that is the drain.
-            for world in moving:
-                source = self.ring.shard_of(world)
-                out = await self._submit_to_shard(
-                    source, {"id": None, "op": protocol.MIGRATE_OUT, "world": world}
-                )
-                if not out.get("ok"):
-                    # Deleted while queued ahead of the drain — nothing to
-                    # move; the delete's responder already updated the map.
-                    continue
-                state = out["result"]["state"]
-                target = new_ring.shard_of(world)
-                landed = await self._submit_to_shard(
-                    target,
-                    {
-                        "id": None,
-                        "op": protocol.MIGRATE_IN,
-                        "world": world,
-                        "params": {"state": state},
-                    },
-                )
-                if landed.get("ok"):
-                    self._worlds[world] = target
-                    moved += 1
-                    self.metrics.counter("server.migrations").inc()
-                else:  # pragma: no cover - defensive
-                    # Could not land on the new owner: put the world back
-                    # where it came from rather than lose it.
-                    await self._submit_to_shard(
-                        source,
-                        {
-                            "id": None,
-                            "op": protocol.MIGRATE_IN,
-                            "world": world,
-                            "params": {"state": state},
-                        },
-                    )
+            # Phase 2: migrate each moving world.
+            moved = await self._migrate_all(plan, new_ring)
+            self.metrics.counter("server.migrations").inc(moved)
             # Phase 3: the swap.  No awaits between these statements — the
             # ring, the shard count, and the gate change atomically as far
             # as the event loop is concerned.
@@ -967,7 +892,8 @@ class FleetServer:
             # new ring so subscribers see them (dedup absorbs overlap).
             self._collect_subscribed()
             # Phase 4: shrink the runtime after the swap (the dying shards
-            # hold no worlds now; their queues drain before teardown).
+            # hold no worlds now, unless a shutdown cut the migrations
+            # short; their queues drain before teardown).
             if new_shards < old_shards:
                 await self._shrink_runtime(new_shards)
             return protocol.ok_response(

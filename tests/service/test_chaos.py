@@ -662,6 +662,73 @@ class TestLiveResize:
 
         run(body())
 
+    def test_shutdown_mid_resize_loses_no_durable_world(self, tmp_path):
+        """A shutdown landing between a world's migrate_out and migrate_in
+        must not lose it: the in-flight migration lands, the resize starts
+        no other, and the next start heals the rest."""
+
+        async def body():
+            from repro.io.results import results_to_json
+
+            state_dir = str(tmp_path)
+            server = FleetServer(port=0, shards=3, inline=True, state_dir=state_dir)
+            await server.start()
+            snapshots = {}
+            client = await ServiceClient.connect("127.0.0.1", server.port, timeout=30.0)
+            stopper = await ServiceClient.connect("127.0.0.1", server.port, timeout=30.0)
+            try:
+                for index in range(6):
+                    world = f"world-{index:02d}"
+                    await client.call(
+                        protocol.CREATE_WORLD, world=world, params={"nodes": 15, "seed": index}
+                    )
+                    await client.call(protocol.ADVANCE, world=world, params={"steps": 2})
+                    snapshots[world] = results_to_json(
+                        await client.call(protocol.SNAPSHOT, world=world)
+                    )
+                dispatch = server._pool.dispatch
+                fired = []
+
+                async def shutdown_after_first_migrate_out(shard, batch):
+                    responses = await dispatch(shard, batch)
+                    drained = any(
+                        request["op"] == protocol.MIGRATE_OUT and response.get("ok")
+                        for request, response in zip(batch, responses)
+                    )
+                    if drained and not fired:
+                        fired.append(shard)
+                        await stopper.call(protocol.SHUTDOWN)
+                    return responses
+
+                server._pool.dispatch = shutdown_after_first_migrate_out
+                result = await client.call(protocol.RESIZE, params={"shards": 2})
+                assert fired
+            finally:
+                await client.close()
+                await stopper.close()
+                await server.stop()
+
+            server = FleetServer(port=0, shards=2, inline=True, state_dir=state_dir)
+            await server.start()
+            client = await ServiceClient.connect("127.0.0.1", server.port, timeout=30.0)
+            try:
+                listing = await client.call(protocol.LIST_WORLDS)
+                assert sorted(listing["worlds"]) == sorted(snapshots)
+                for world, shard in listing["worlds"].items():
+                    assert shard == server.ring.shard_of(world)
+                for world, expected in snapshots.items():
+                    assert (
+                        results_to_json(await client.call(protocol.SNAPSHOT, world=world))
+                        == expected
+                    )
+            finally:
+                await client.close()
+                await server.stop()
+            # Exactly the world in flight moved; the rest were healed.
+            assert result["moved"] == 1
+
+        run(body())
+
 
 # --------------------------------------------------------------------- #
 # The hypothesis chaos battery (in-process)

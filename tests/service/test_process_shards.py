@@ -159,6 +159,55 @@ class TestProcessShardServer:
 
         run(_with_server(body))
 
+    def test_restart_with_fewer_shards_heals_stray_files_in_workers(self, tmp_path):
+        """A 4-shard directory booted with two worker processes: the heal
+        grows the pool over shard files 2 and 3, drains them through their
+        own workers, and shrinks back."""
+        from repro.io.results import results_to_json
+
+        async def write_fleet():
+            server = FleetServer(port=0, shards=4, inline=True, state_dir=str(tmp_path))
+            await server.start()
+            client = await ServiceClient.connect("127.0.0.1", server.port, timeout=30.0)
+            try:
+                snapshots = {}
+                for index in range(8):
+                    world = f"world-{index:02d}"
+                    await client.call(
+                        protocol.CREATE_WORLD, world=world, params={"nodes": 15, "seed": index}
+                    )
+                    await client.call(protocol.ADVANCE, world=world, params={"steps": 1})
+                    snapshots[world] = results_to_json(
+                        await client.call(protocol.SNAPSHOT, world=world)
+                    )
+                return snapshots, sorted(set(server._worlds.values()))
+            finally:
+                await client.close()
+                await server.stop()
+
+        async def body(server):
+            # The runtime grown for the heal has shrunk back to the fleet.
+            assert server._pool.shard_count == 2 and len(server._dispatchers) == 2
+            client = await ServiceClient.connect("127.0.0.1", server.port, timeout=30.0)
+            try:
+                listing = await client.call(protocol.LIST_WORLDS)
+                served = {
+                    world: results_to_json(await client.call(protocol.SNAPSHOT, world=world))
+                    for world in listing["worlds"]
+                }
+            finally:
+                await client.close()
+            return listing["worlds"], served, server
+
+        snapshots, files = run(write_fleet())
+        assert any(shard >= 2 for shard in files)
+        worlds, served, server = run(_with_server(body, state_dir=str(tmp_path)))
+        assert sorted(worlds) == sorted(snapshots)
+        for world, shard in worlds.items():
+            assert shard == server.ring.shard_of(world) and shard < 2
+        assert served == snapshots
+        assert server.metrics.counter("server.placement_healed").value > 0
+
 
 class TestProcessShardPool:
     def test_response_written_before_death_is_delivered(self):
