@@ -514,6 +514,11 @@ class SubscribingClient:
             message["token"] = token
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._pending[request_id] = future
+        if self._reader_task.done():
+            # The read loop already failed its pending futures and will
+            # never answer this one.
+            del self._pending[request_id]
+            raise ConnectionError("connection lost")
         self._writer.write(protocol.encode_message(message))
         await self._writer.drain()
         read_timeout = self.timeout if timeout is None else timeout

@@ -9,11 +9,9 @@ WorldHost`).  It persists three things:
   the model's semantics, so replaying the writes alone would reproduce a
   *different* history — the markers pin the sync points);
 * **checkpoints** per world — an exact state blob (the pickled
-  :class:`~repro.service.worlds.World`) at a known log position, plus
-  optionally the canonical-JSON observable snapshot at that position
-  (:meth:`World.snapshot`'s serialization, for inspection and smoke
-  checks).  Recovery loads the latest checkpoint and replays
-  log-since-checkpoint through the normal execution path;
+  :class:`~repro.service.worlds.World`) at a known log position.  Recovery
+  loads the latest checkpoint and replays log-since-checkpoint through the
+  normal execution path;
 * the **last committed batch** — its sequence number and responses, which
   is what makes dispatcher retries after a worker death exactly-once: a
   re-dispatched batch that already committed is answered from the store
@@ -54,14 +52,10 @@ class Checkpoint:
     byte-exact serving state, including mobility RNG position, manager
     CBTC state and pending dirty sets, which is what makes checkpoint
     recovery indistinguishable from having replayed the whole log.
-    ``snapshot_json`` optionally carries the canonical observable snapshot
-    (``None`` for eviction checkpoints, where computing it would force a
-    semantic synchronize the uninterrupted world never performed).
     """
 
     seq: int
     state: bytes
-    snapshot_json: Optional[str] = None
 
 
 #: A staged log record: ``(world_id, seq, record)``.

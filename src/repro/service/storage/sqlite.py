@@ -4,9 +4,10 @@ The schema mirrors the three responsibilities of the contract:
 
 * ``log(world, seq, record)`` — the per-world write-ahead log, records as
   canonical JSON;
-* ``checkpoints(world, seq, state, snapshot)`` — the newest checkpoint per
-  world: the pickled :class:`~repro.service.worlds.World` blob plus the
-  optional canonical observable snapshot;
+* ``checkpoints(world, seq, state)`` — the newest checkpoint per world:
+  the pickled :class:`~repro.service.worlds.World` blob (files written by
+  older versions may carry an extra nullable ``snapshot`` column; every
+  statement names its columns, so it is simply never read);
 * ``batches(key=0, batch_seq, responses)`` — a single row holding the last
   committed batch's sequence number and responses (the exactly-once
   re-dispatch marker; only the latest batch can ever be retried because
@@ -46,10 +47,9 @@ CREATE TABLE IF NOT EXISTS log (
     PRIMARY KEY (world, seq)
 );
 CREATE TABLE IF NOT EXISTS checkpoints (
-    world    TEXT    PRIMARY KEY,
-    seq      INTEGER NOT NULL,
-    state    BLOB    NOT NULL,
-    snapshot TEXT
+    world TEXT    PRIMARY KEY,
+    seq   INTEGER NOT NULL,
+    state BLOB    NOT NULL
 );
 CREATE TABLE IF NOT EXISTS batches (
     key       INTEGER PRIMARY KEY CHECK (key = 0),
@@ -111,8 +111,8 @@ class SqliteStore(WorldStore):
 
     def _write_checkpoint(self, world_id: str, checkpoint: Checkpoint) -> None:
         self._connection.execute(
-            "INSERT OR REPLACE INTO checkpoints (world, seq, state, snapshot) VALUES (?, ?, ?, ?)",
-            (world_id, checkpoint.seq, checkpoint.state, checkpoint.snapshot_json),
+            "INSERT OR REPLACE INTO checkpoints (world, seq, state) VALUES (?, ?, ?)",
+            (world_id, checkpoint.seq, checkpoint.state),
         )
 
     def save_checkpoint(self, world_id: str, checkpoint: Checkpoint) -> None:
@@ -155,11 +155,11 @@ class SqliteStore(WorldStore):
 
     def latest_checkpoint(self, world_id: str) -> Optional[Checkpoint]:
         row = self._connection.execute(
-            "SELECT seq, state, snapshot FROM checkpoints WHERE world = ?", (world_id,)
+            "SELECT seq, state FROM checkpoints WHERE world = ?", (world_id,)
         ).fetchone()
         if row is None:
             return None
-        return Checkpoint(seq=row[0], state=row[1], snapshot_json=row[2])
+        return Checkpoint(seq=row[0], state=row[1])
 
     def records_after(self, world_id: str, seq: int) -> List[Dict[str, Any]]:
         rows = self._connection.execute(

@@ -3,7 +3,6 @@
 Both backends expose the same interface the front end's dispatchers drive::
 
     responses = await pool.dispatch(shard, [request, ...])   # in order
-    responses = pool.execute(shard, [request, ...])          # blocking twin
     pool.close()
 
 :class:`InlineShardPool` runs every shard's :class:`~repro.service.worlds.
@@ -474,14 +473,6 @@ class ProcessShardPool:
             responses = await asyncio.get_running_loop().run_in_executor(
                 None, self._after_death, shard, seq, batch
             )
-        return responses
-
-    def execute(self, shard: int, batch: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-        """Blocking twin of :meth:`dispatch` (same supervision)."""
-        seq = self._next_seq(shard)
-        responses = self._wait(shard) if self._send(shard, (seq, batch)) else None
-        if responses is None:
-            responses = self._after_death(shard, seq, batch)
         return responses
 
     def kill_worker(self, shard: int) -> None:

@@ -628,7 +628,6 @@ class WorldHost:
         #: Per-world write count at the world's newest checkpoint.
         self._checkpointed_writes: Dict[str, int] = {}
         self._batch_seq = 0
-        self._last_batch_responses: Optional[List[Dict[str, Any]]] = None
         self._staged: List[StagedRecord] = []
         self._staged_purges: List[str] = []
         self._replaying = False
@@ -805,25 +804,13 @@ class WorldHost:
     # ------------------------------------------------------------------ #
     # Checkpoints and eviction
     # ------------------------------------------------------------------ #
-    def _checkpoint(self, world_id: str, world: World, *, observable: bool) -> Checkpoint:
+    def _checkpoint(self, world_id: str, world: World) -> Checkpoint:
         """Pickle the world *as it is* — forcing a synchronize here would
-        fork its history from the uninterrupted run.  The observable snapshot
-        (periodic checkpoints only) is computed on a throwaway clone so even
-        the snapshot's own refresh cannot touch the serving state."""
+        fork its history from the uninterrupted run."""
         with timed(
             self.metrics.histogram("wal.checkpoint_seconds"), "wal.checkpoint"
         ):
-            blob = pickle.dumps(world)
-            snapshot_json: Optional[str] = None
-            if observable:
-                clone: World = pickle.loads(blob)
-                try:
-                    snapshot_json = canonical_json(clone.snapshot({}))
-                finally:
-                    clone.close()
-            return Checkpoint(
-                seq=self._log_seq.get(world_id, 0), state=blob, snapshot_json=snapshot_json
-            )
+            return Checkpoint(seq=self._log_seq.get(world_id, 0), state=pickle.dumps(world))
 
     def _due_checkpoints(self) -> List[Tuple[str, Checkpoint]]:
         """Live worlds whose write count crossed the cadence since their
@@ -834,7 +821,7 @@ class WorldHost:
         for world_id, world in self.worlds.items():
             writes = self._write_counts.get(world_id, 0)
             if writes - self._checkpointed_writes.get(world_id, 0) >= self.snapshot_every:
-                due.append((world_id, self._checkpoint(world_id, world, observable=True)))
+                due.append((world_id, self._checkpoint(world_id, world)))
                 self._checkpointed_writes[world_id] = writes
         return due
 
@@ -846,9 +833,7 @@ class WorldHost:
                 self.metrics.histogram("wal.eviction_seconds"), "wal.evict"
             ):
                 world_id, world = self.worlds.popitem(last=False)
-                self.store.save_checkpoint(
-                    world_id, self._checkpoint(world_id, world, observable=False)
-                )
+                self.store.save_checkpoint(world_id, self._checkpoint(world_id, world))
                 self._checkpointed_writes[world_id] = self._write_counts.get(world_id, 0)
                 self._evicted.add(world_id)
                 self.evictions += 1
@@ -873,7 +858,7 @@ class WorldHost:
         with timed(self.metrics.histogram("wal.recovery_seconds"), "wal.recover"):
             self._use_checkpoints = use_checkpoints
             counts = self.store.world_counts()
-            self._batch_seq, self._last_batch_responses = self.store.last_batch()
+            self._batch_seq = self.store.last_batch()[0]
             for world_id, (records, writes) in counts.items():
                 self._log_seq[world_id] = records
                 self._write_counts[world_id] = writes
@@ -1159,8 +1144,9 @@ class WorldHost:
         assert self.store is not None
         seq = self._batch_seq + 1 if batch_seq is None else batch_seq
         if seq <= self._batch_seq:
-            if seq == self._batch_seq and self._last_batch_responses is not None:
-                return copy.deepcopy(self._last_batch_responses)
+            committed_seq, committed = self.store.last_batch()
+            if seq == committed_seq and committed is not None:
+                return committed
             raise RuntimeError(
                 f"batch {seq} was already committed (at {self._batch_seq}) and its "
                 f"responses are no longer retained"
@@ -1172,7 +1158,6 @@ class WorldHost:
                 seq, self._staged, responses, self._due_checkpoints(), self._staged_purges
             )
         self._batch_seq = seq
-        self._last_batch_responses = copy.deepcopy(responses)
         self._staged = []
         self._staged_purges = []
         self._enforce_live_bound()
@@ -1260,9 +1245,7 @@ class WorldHost:
         """
         if flush and self.store is not None and not self._replaying:
             for world_id, world in self.worlds.items():
-                self.store.save_checkpoint(
-                    world_id, self._checkpoint(world_id, world, observable=False)
-                )
+                self.store.save_checkpoint(world_id, self._checkpoint(world_id, world))
                 self._checkpointed_writes[world_id] = self._write_counts.get(world_id, 0)
         for world in self.worlds.values():
             world.close()

@@ -619,7 +619,9 @@ class TestLiveResize:
 
     def test_restart_with_fewer_shards_heals_stray_files(self, tmp_path):
         """Shard files beyond the new fleet (a 4-shard directory booted
-        with --shards 2) are drained parent-side at startup."""
+        with --shards 2) are healed at startup: the runtime grows over the
+        stray files and their worlds migrate into the fleet through
+        :mod:`repro.service.fleet`."""
 
         async def body():
             from repro.io.results import results_to_json

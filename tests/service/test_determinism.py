@@ -8,6 +8,8 @@ adversarially sampled batch schedules and requires byte-identical world
 snapshots; a separate test drives the real multiprocessing worker pool.
 """
 
+import asyncio
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +20,11 @@ from repro.service.workers import ProcessShardPool
 from repro.sim.randomness import SeededRandom
 
 WORLD_NAMES = ("alpha", "beta", "gamma")
+
+
+def dispatch(pool, shard, batch):
+    """Run one ``pool.dispatch`` round trip to completion."""
+    return asyncio.run(pool.dispatch(shard, batch))
 
 
 def _world_ops(rng: SeededRandom, world: str, count: int, node_count: int):
@@ -144,15 +151,15 @@ class TestProcessWorkers:
                     if cursors[shard] < len(queues[shard]):
                         batch = queues[shard][cursors[shard] : cursors[shard] + 3]
                         cursors[shard] += len(batch)
-                        responses = pool.execute(shard, batch)
+                        responses = dispatch(pool, shard, batch)
                         assert len(responses) == len(batch)
             from repro.io.results import results_to_json
 
             snapshots = {}
             for world in WORLD_NAMES:
                 shard = ring.shard_of(world)
-                [response] = pool.execute(
-                    shard, [{"id": None, "op": protocol.SNAPSHOT, "world": world, "params": {}}]
+                [response] = dispatch(
+                    pool, shard, [{"id": None, "op": protocol.SNAPSHOT, "world": world, "params": {}}]
                 )
                 assert response["ok"], response
                 snapshots[world] = results_to_json(response["result"])

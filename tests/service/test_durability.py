@@ -16,14 +16,18 @@ Three layers of assurance, mirroring the design's trust chain:
   hanging forever (the regression that motivated this PR).
 """
 
+import pickle
+import sqlite3
 import threading
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.service import protocol
-from repro.service.replay import ShardedReplayer, replay_serial
+from repro.service import worlds as worlds_module
+from repro.service.replay import ShardedReplayer, collect_snapshots, replay_serial
 from repro.service.sharding import HashRing
 from repro.service.storage import (
     Checkpoint,
@@ -36,7 +40,7 @@ from repro.service.storage import (
 from repro.service.workers import ProcessShardPool
 from repro.service.worlds import WorldHost
 
-from tests.service.test_determinism import WORLD_NAMES, build_trace
+from tests.service.test_determinism import WORLD_NAMES, build_trace, dispatch
 
 
 # --------------------------------------------------------------------- #
@@ -76,16 +80,16 @@ class TestStoreContract:
         assert store.records_after("w", 2) == [{"kind": "sync"}]
 
     def test_checkpoints(self, store):
-        checkpoint = Checkpoint(seq=4, state=b"blob", snapshot_json='{"a": 1}')
+        checkpoint = Checkpoint(seq=4, state=b"blob")
         store.commit_batch(1, [], [], [("w", checkpoint)], [])
         loaded = store.latest_checkpoint("w")
-        assert (loaded.seq, bytes(loaded.state), loaded.snapshot_json) == (4, b"blob", '{"a": 1}')
+        assert (loaded.seq, bytes(loaded.state)) == (4, b"blob")
         # A checkpoint-only world still shows up with its seq.
         assert store.world_counts() == {"w": (4, 0)}
         # save_checkpoint (the eviction path) replaces it.
         store.save_checkpoint("w", Checkpoint(seq=9, state=b"newer"))
         loaded = store.latest_checkpoint("w")
-        assert (loaded.seq, loaded.snapshot_json) == (9, None)
+        assert (loaded.seq, bytes(loaded.state)) == (9, b"newer")
 
     def test_purges_apply_before_records(self, store):
         store.commit_batch(
@@ -365,13 +369,94 @@ class TestKillAndRecover:
         assert recovered_host.recover() == 1
 
 
+#: The ``checkpoints`` table as older versions created it, with a fourth,
+#: nullable ``snapshot`` column that nothing reads any more.
+LEGACY_CHECKPOINTS_SCHEMA = """
+CREATE TABLE checkpoints (
+    world    TEXT    PRIMARY KEY,
+    seq      INTEGER NOT NULL,
+    state    BLOB    NOT NULL,
+    snapshot TEXT
+);
+"""
+
+
+class TestCheckpointContents:
+    def test_periodic_checkpoint_only_pickles(self, monkeypatch):
+        """A batch crossing the cadence on an untracked world checkpoints
+        the pickled state alone: no snapshot, no unpickled clone."""
+        calls = {"snapshot": 0, "loads": 0}
+        snapshot = worlds_module.World.snapshot
+
+        def counting_snapshot(world, params):
+            calls["snapshot"] += 1
+            return snapshot(world, params)
+
+        def counting_loads(data):
+            calls["loads"] += 1
+            return pickle.loads(data)
+
+        store = MemoryStore()
+        host = WorldHost(store=store, snapshot_every=2)
+        host.execute({"op": protocol.CREATE_WORLD, "world": "w", "params": {"nodes": 10}})
+        assert store.latest_checkpoint("w") is None
+        monkeypatch.setattr(worlds_module.World, "snapshot", counting_snapshot)
+        monkeypatch.setattr(
+            worlds_module, "pickle", SimpleNamespace(dumps=pickle.dumps, loads=counting_loads)
+        )
+        host.execute({"op": protocol.ADVANCE, "world": "w", "params": {"steps": 1}})
+        checkpoint = store.latest_checkpoint("w")
+        assert checkpoint is not None
+        assert checkpoint.seq == len(store.records_after("w", 0))
+        assert calls == {"snapshot": 0, "loads": 0}
+
+    def test_legacy_snapshot_column_serves_and_recovers(self, tmp_path):
+        """A shard file whose ``checkpoints`` table still has the old
+        ``snapshot`` column, holding a value, keeps serving, checkpointing
+        and recovering byte-identically."""
+        path = shard_db_path(str(tmp_path), 0)
+        connection = sqlite3.connect(path)
+        connection.executescript(LEGACY_CHECKPOINTS_SCHEMA)
+        connection.close()
+        trace = build_trace(13, 5, node_count=15)
+        half = len(trace) // 2
+
+        host = WorldHost(store=SqliteStore(path), snapshot_every=2)
+        for request in trace[:half]:
+            assert host.execute(request)["ok"]
+        host.close()
+        host.store.close()
+        connection = sqlite3.connect(path)
+        with connection:
+            connection.execute("UPDATE checkpoints SET snapshot = ?", ('{"legacy": true}',))
+        assert connection.execute(
+            "SELECT count(*) FROM checkpoints WHERE snapshot IS NOT NULL"
+        ).fetchone()[0] > 0
+        connection.close()
+
+        host = WorldHost(store=SqliteStore(path), snapshot_every=2)
+        host.recover()
+        for request in trace[half:]:
+            assert host.execute(request)["ok"]
+        host.store.close()  # a crash: no flush on the way out
+
+        recovered = WorldHost(store=SqliteStore(path), snapshot_every=2)
+        try:
+            recovered.recover()
+            assert recovered.store.latest_checkpoint(trace[-1]["world"]) is not None
+            assert collect_snapshots(recovered) == replay_serial(trace)
+        finally:
+            recovered.close()
+            recovered.store.close()
+
+
 # --------------------------------------------------------------------- #
 # Process-pool supervision (real SIGKILL)
 # --------------------------------------------------------------------- #
 class TestProcessPoolSupervision:
     def _bootstrap(self, pool, trace, ring):
         for request in trace:
-            [response] = pool.execute(ring.shard_of(request["world"]), [request])
+            [response] = dispatch(pool, ring.shard_of(request["world"]), [request])
             assert response["ok"], response
 
     def test_durable_pool_survives_worker_kill(self, tmp_path):
@@ -396,7 +481,8 @@ class TestProcessPoolSupervision:
 
             snapshots = {}
             for world in WORLD_NAMES:
-                [response] = pool.execute(
+                [response] = dispatch(
+                    pool,
                     ring.shard_of(world),
                     [{"id": None, "op": protocol.SNAPSHOT, "world": world, "params": {}}],
                 )
@@ -407,13 +493,12 @@ class TestProcessPoolSupervision:
             pool.close()
 
     def test_nondurable_pool_reports_errors_instead_of_hanging(self):
-        """The PR's motivating bug: ``execute`` used to block forever on the
-        outbox of a dead worker.  It must return error responses promptly
-        and leave the shard serving."""
+        """A round trip to a dead worker must not block forever: it returns
+        error responses promptly and leaves the shard serving."""
         pool = ProcessShardPool(1)
         try:
-            [response] = pool.execute(
-                0, [{"id": 1, "op": protocol.CREATE_WORLD, "world": "w", "params": {"nodes": 8}}]
+            [response] = dispatch(
+                pool, 0, [{"id": 1, "op": protocol.CREATE_WORLD, "world": "w", "params": {"nodes": 8}}]
             )
             assert response["ok"], response
             pool._workers[0].kill()
@@ -421,8 +506,8 @@ class TestProcessPoolSupervision:
             outcome = {}
 
             def run_batch():
-                outcome["responses"] = pool.execute(
-                    0, [{"id": 2, "op": protocol.ADVANCE, "world": "w", "params": {}}]
+                outcome["responses"] = dispatch(
+                    pool, 0, [{"id": 2, "op": protocol.ADVANCE, "world": "w", "params": {}}]
                 )
 
             thread = threading.Thread(target=run_batch, daemon=True)
@@ -435,8 +520,8 @@ class TestProcessPoolSupervision:
             assert response["id"] == 2
             assert pool.worker_restarts == 1
             # The restarted (empty) worker serves new worlds.
-            [response] = pool.execute(
-                0, [{"id": 3, "op": protocol.CREATE_WORLD, "world": "w2", "params": {"nodes": 8}}]
+            [response] = dispatch(
+                pool, 0, [{"id": 3, "op": protocol.CREATE_WORLD, "world": "w2", "params": {"nodes": 8}}]
             )
             assert response["ok"], response
         finally:
@@ -450,8 +535,8 @@ class TestProcessPoolSupervision:
             1, store_config=StoreConfig(kind="sqlite", path=str(tmp_path))
         )
         try:
-            [response] = pool.execute(
-                0, [{"op": protocol.CREATE_WORLD, "world": "w", "params": {"nodes": 20, "seed": 3}}]
+            [response] = dispatch(
+                pool, 0, [{"op": protocol.CREATE_WORLD, "world": "w", "params": {"nodes": 20, "seed": 3}}]
             )
             assert response["ok"], response
             # A batch slow enough to be killed in flight: many advances.
@@ -462,13 +547,13 @@ class TestProcessPoolSupervision:
             killer = threading.Timer(0.15, pool._workers[0].kill)
             killer.start()
             try:
-                responses = pool.execute(0, batch)
+                responses = dispatch(pool, 0, batch)
             finally:
                 killer.cancel()
             assert all(response["ok"] for response in responses), responses
             # Exactly-once: the final write count equals the trace's writes.
-            [stats] = pool.execute(
-                0, [{"op": protocol.CACHE_STATS, "world": "w", "params": {}}]
+            [stats] = dispatch(
+                pool, 0, [{"op": protocol.CACHE_STATS, "world": "w", "params": {}}]
             )
             assert stats["ok"], stats
             assert stats["result"]["writes"] == 30

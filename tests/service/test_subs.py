@@ -525,3 +525,35 @@ class TestEmptyRegistries:
                 await client.close()
 
         run(_with_server(body))
+
+
+class TestDisconnect:
+    def test_request_after_hangup_fails_at_once(self):
+        """Once the read loop has ended, a request raises ``ConnectionError``
+        at once instead of waiting out its timeout (forever with none)."""
+
+        async def answer_one_line_then_hang_up(reader, writer):
+            request = protocol.decode_message(await reader.readline())
+            writer.write(protocol.encode_message(protocol.ok_response(request["id"], {})))
+            await writer.drain()
+            writer.close()
+
+        async def body():
+            server = await asyncio.start_server(answer_one_line_then_hang_up, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            client = await SubscribingClient.connect("127.0.0.1", port, timeout=None)
+            try:
+                assert (await client.request(protocol.PING))["ok"]
+                for _ in range(500):
+                    if not client.connected:
+                        break
+                    await asyncio.sleep(0.01)
+                assert not client.connected
+                with pytest.raises(ConnectionError):
+                    await asyncio.wait_for(client.request(protocol.PING), 5.0)
+            finally:
+                await client.close()
+                server.close()
+                await server.wait_closed()
+
+        run(body())
