@@ -94,6 +94,12 @@ DEFAULT_SNAPSHOT_EVERY = 16
 #: twice; the bound only has to outlive the retry window, not history.
 TOKEN_CACHE_MAX_ENTRIES = 256
 
+#: The ops a write-ahead log holds (besides sync markers); log replay
+#: re-executes exactly these and rejects anything else as corruption.
+_LOGGED_OPS = frozenset(
+    {protocol.CREATE_WORLD, protocol.MIGRATE_IN, protocol.ADVANCE, protocol.APPLY, protocol.SUB_TRACK}
+)
+
 
 class RequestError(ValueError):
     """A request that is well-formed on the wire but invalid for this world."""
@@ -703,81 +709,47 @@ class WorldHost:
     def _rehydrate(self, world_id: str) -> World:
         """Load an evicted/recovered world back into memory.
 
-        Latest checkpoint (if allowed) plus replay of the log tail through
-        the normal execution path — the byte-identity argument is that both
-        legs re-run exactly the code that produced the original state.
+        Adopt the latest checkpoint (if allowed), then re-execute the log
+        tail through :meth:`_execute_world_op` — the same handlers live
+        requests run — with staging off so nothing is logged twice.  The
+        byte-identity argument is that both legs re-run exactly the code
+        that produced the original state.  A log the handlers reject (or
+        holding an op the WAL never logs) raises ``RuntimeError`` and
+        leaves the world evicted.
         """
         assert self.store is not None
         checkpoint = self.store.latest_checkpoint(world_id) if self._use_checkpoints else None
-        if checkpoint is not None:
-            world: Optional[World] = pickle.loads(checkpoint.state)
-            seq = checkpoint.seq
-        else:
-            world = None
-            seq = 0
-        world = self._replay_records(world_id, world, self.store.records_after(world_id, seq))
-        if world is None:
-            raise RequestError(f"unknown world {world_id!r}")
         self._evicted.discard(world_id)
-        self._adopt(world_id, world)
-        self.rehydrations += 1
-        return world
-
-    def _replay_records(
-        self,
-        world_id: str,
-        world: Optional[World],
-        records: List[Dict[str, Any]],
-    ) -> Optional[World]:
-        """Re-execute a world's log tail (recovery is replay, not a codepath
-        of its own); staging stays off so replayed ops are not re-logged."""
-        previous = self._replaying
         self._replaying = True
         try:
-            for record in records:
+            if checkpoint is not None:
+                self._adopt(world_id, pickle.loads(checkpoint.state))
+            for record in self.store.records_after(world_id, checkpoint.seq if checkpoint else 0):
                 if record["kind"] == RECORD_SYNC:
-                    if world is None:
-                        raise RuntimeError(f"sync marker before create in {world_id!r} log")
-                    world._refresh()
-                    continue
-                op = record["op"]
-                params = record["params"]
-                if op == protocol.CREATE_WORLD:
-                    spec, seed = build_world_spec(params)
-                    world = World(world_id, spec, seed, naive=self.naive)
-                    result: Any = {
-                        "world": world_id,
-                        "scenario": spec.name,
-                        "seed": seed,
-                        "nodes": len(world.network),
-                    }
-                elif op == protocol.MIGRATE_IN:
-                    world = pickle.loads(base64.b64decode(params["state"]))
-                    result = {"world": world_id, "migrated": True}
-                elif world is None:
-                    raise RuntimeError(f"op {op!r} before create in {world_id!r} log")
-                elif op == protocol.ADVANCE:
-                    result = world.advance(params)
-                    world.commit_epoch()
-                elif op == protocol.APPLY:
-                    result = world.apply_delta(params)
-                    world.commit_epoch()
-                elif op == protocol.SUB_TRACK:
-                    # Tracking turned on at this log position: from here the
-                    # replay walks the same per-write refresh schedule the
-                    # live run did, regenerating the same sequence numbers
-                    # and ring contents.
-                    tracker = world.track(
-                        ring_capacity=params.get("ring", DEFAULT_RING_CAPACITY)
+                    self._world(world_id)._refresh()
+                elif record["op"] in _LOGGED_OPS:
+                    self._execute_world_op(
+                        record["op"], world_id, record["params"], record.get("token")
                     )
-                    result = {"world": world_id, "seq": tracker.seq, "tracked": True}
                 else:
-                    raise RuntimeError(f"unexpected op {op!r} in {world_id!r} log")
-                token = record.get("token")
-                if token is not None:
-                    world.remember_token(token, result)
+                    raise RuntimeError(f"unexpected op {record['op']!r} in {world_id!r} log")
+        except BaseException as error:
+            failed = self.worlds.pop(world_id, None)
+            if failed is not None:
+                failed.close()
+            self._evicted.add(world_id)
+            if isinstance(error, RequestError):
+                # A logged record the live handlers refuse is a corrupt log,
+                # not a bad request from whoever touched the world.
+                raise RuntimeError(f"cannot replay the {world_id!r} log: {error}") from error
+            raise
         finally:
-            self._replaying = previous
+            self._replaying = False
+        world = self.worlds.get(world_id)
+        if world is None:
+            self._evicted.add(world_id)
+            raise RequestError(f"unknown world {world_id!r}")
+        self.rehydrations += 1
         return world
 
     def _forget_world(self, world_id: str) -> None:
@@ -844,14 +816,14 @@ class WorldHost:
     # ------------------------------------------------------------------ #
     # Recovery
     # ------------------------------------------------------------------ #
-    def recover(self, *, use_checkpoints: bool = True, eager: bool = True) -> int:
+    def recover(self, *, use_checkpoints: bool = True) -> int:
         """Restore this host's fleet from its store.
 
-        Every stored world starts out *evicted* (rehydrated lazily on first
-        access); with ``eager`` the host rehydrates up front, up to the live
-        bound.  ``use_checkpoints=False`` forces full-log replay — the
-        battery uses it to prove checkpoints change nothing.  Returns the
-        number of worlds found.
+        Every stored world starts out *evicted*; the host then rehydrates
+        them up front in world-id order, up to the live bound, and the rest
+        rehydrate lazily on first access.  ``use_checkpoints=False`` forces
+        full-log replay — the battery uses it to prove checkpoints change
+        nothing.  Returns the number of worlds found.
         """
         if self.store is None:
             raise RuntimeError("recover() needs a store")
@@ -864,14 +836,10 @@ class WorldHost:
                 self._write_counts[world_id] = writes
                 self._checkpointed_writes[world_id] = writes
                 self._evicted.add(world_id)
-            if eager:
-                for world_id in sorted(counts):
-                    if (
-                        self.max_live_worlds is not None
-                        and len(self.worlds) >= self.max_live_worlds
-                    ):
-                        break
-                    self._rehydrate(world_id)
+            for world_id in sorted(counts):
+                if self.max_live_worlds is not None and len(self.worlds) >= self.max_live_worlds:
+                    break
+                self._rehydrate(world_id)
             self.recovered_worlds = len(counts)
             return self.recovered_worlds
 

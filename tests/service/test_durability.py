@@ -25,6 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.io.results import canonical_json
 from repro.service import protocol
 from repro.service import worlds as worlds_module
 from repro.service.replay import ShardedReplayer, collect_snapshots, replay_serial
@@ -367,6 +368,83 @@ class TestKillAndRecover:
         assert [record["kind"] for record in store.records_after("w", 0)] == ["op"]
         recovered_host = WorldHost(store=store)
         assert recovered_host.recover() == 1
+
+
+def _snapshot_bytes(host):
+    response = host.execute({"op": protocol.SNAPSHOT, "world": "w", "params": {}})
+    assert response["ok"]
+    return canonical_json(response["result"])
+
+
+class TestLogReplay:
+    @pytest.mark.parametrize("use_checkpoints", [True, False])
+    def test_replay_restores_tokens_and_tracking(self, use_checkpoints):
+        """Replayed records re-register their idempotency tokens and turn
+        tracking on at the logged position: the recovered world serves the
+        same bytes and frames, and a retried write is still deduplicated."""
+        store = MemoryStore()
+        host = WorldHost(store=store, snapshot_every=1000)
+        create = {
+            "op": protocol.CREATE_WORLD,
+            "world": "w",
+            "token": "t-create",
+            "params": {"nodes": 12, "seed": 3},
+        }
+        apply = {
+            "op": protocol.APPLY,
+            "world": "w",
+            "token": "t-apply",
+            "params": {"moves": [[0, 120.0, 80.0]], "joins": [[60.0, 40.0]], "crashes": [3]},
+        }
+        assert host.execute(create)["ok"]
+        assert host.execute(
+            {"op": protocol.ADVANCE, "world": "w", "token": "t-advance-1", "params": {"steps": 2}}
+        )["ok"]
+        # An eviction-style checkpoint here leaves the subscription, the
+        # second advance and the apply for the checkpointed leg to replay.
+        store.save_checkpoint("w", host._checkpoint("w", host.worlds["w"]))
+        assert host.execute({"op": protocol.SUBSCRIBE, "world": "w", "params": {}})["ok"]
+        assert host.execute(
+            {"op": protocol.ADVANCE, "world": "w", "token": "t-advance-2", "params": {"steps": 3}}
+        )["ok"]
+        applied = host.execute(apply)
+        assert applied["ok"]
+        snapshot = _snapshot_bytes(host)
+        frames = host.collect_frames({"w": 0})
+        assert frames
+
+        recovered = WorldHost(store=store, snapshot_every=1000)  # a crash: no flush
+        assert recovered.recover(use_checkpoints=use_checkpoints) == 1
+        assert _snapshot_bytes(recovered) == snapshot
+        assert recovered.collect_frames({"w": 0}) == frames
+        writes = recovered.worlds["w"].writes_applied
+        retry = recovered.execute({**apply, "params": {"crashes": [4]}})
+        assert retry["result"] == applied["result"]
+        assert recovered.worlds["w"].writes_applied == writes
+        assert _snapshot_bytes(recovered) == snapshot
+
+    @pytest.mark.parametrize(
+        "records",
+        [
+            [{"kind": "op", "op": protocol.ADVANCE, "params": {"steps": 1}}],
+            [{"kind": "sync"}],
+            [
+                {"kind": "op", "op": protocol.CREATE_WORLD, "params": {"nodes": 10}},
+                {"kind": "op", "op": protocol.SNAPSHOT, "params": {}},
+            ],
+        ],
+        ids=["advance-before-create", "sync-before-create", "logged-read"],
+    )
+    def test_corrupt_log_fails_recovery_and_stays_evicted(self, records):
+        store = MemoryStore()
+        store.commit_batch(
+            1, [("w", seq, record) for seq, record in enumerate(records, 1)], [], [], []
+        )
+        host = WorldHost(store=store)
+        with pytest.raises(RuntimeError, match="'w'"):
+            host.recover()
+        assert host.world_ids() == ["w"]
+        assert not host.worlds
 
 
 #: The ``checkpoints`` table as older versions created it, with a fourth,
