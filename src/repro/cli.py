@@ -329,11 +329,8 @@ def _shutdown_server(host: str, port: int) -> None:
     from repro.service.client import ServiceClient
 
     async def _shutdown() -> None:
-        client = await ServiceClient.connect(host, port)
-        try:
+        async with await ServiceClient.connect(host, port) as client:
             await client.call("shutdown")
-        finally:
-            await client.close()
 
     asyncio.run(_shutdown())
 
@@ -431,15 +428,12 @@ def _resize(args: argparse.Namespace) -> int:
         return 1
 
     async def _request() -> dict:
-        client = await ServiceClient.connect(args.host, args.port)
-        try:
+        async with await ServiceClient.connect(args.host, args.port) as client:
             # A resize migrating many worlds takes longer than an ordinary
             # request; give it a generous response window.
             return await client.call(
                 protocol.RESIZE, params={"shards": args.shards}, timeout=300.0
             )
-        finally:
-            await client.close()
 
     try:
         result = asyncio.run(_request())
@@ -483,20 +477,18 @@ def _watch(args: argparse.Namespace) -> int:
 
     from repro.io.results import canonical_json
     from repro.service import protocol
-    from repro.service.client import ServiceError, ServiceTimeout, SubscribingClient
+    from repro.service.client import ServiceClient, ServiceError, ServiceTimeout
 
     async def _run() -> int:
         try:
-            client = await SubscribingClient.connect(
-                args.host, args.port, timeout=args.timeout
-            )
+            client = await ServiceClient.connect(args.host, args.port, timeout=args.timeout)
         except (ConnectionError, OSError, asyncio.TimeoutError) as error:
             print(
                 f"cannot reach {args.host}:{args.port}: {error}; is 'cbtc serve' running?",
                 file=sys.stderr,
             )
             return 1
-        try:
+        async with client:
             try:
                 await client.subscribe(args.world)
             except ServiceError as error:
@@ -572,8 +564,6 @@ def _watch(args: argparse.Namespace) -> int:
                 f"(resyncs={mirror.resyncs}, gaps={client.gaps})"
             )
             return 0
-        finally:
-            await client.close()
 
     try:
         return asyncio.run(_run())
@@ -588,11 +578,8 @@ def _metrics(args: argparse.Namespace) -> int:
     from repro.service.client import ServiceClient, ServiceError
 
     async def _fetch() -> dict:
-        client = await ServiceClient.connect(args.host, args.port)
-        try:
+        async with await ServiceClient.connect(args.host, args.port) as client:
             return await client.call(protocol.METRICS)
-        finally:
-            await client.close()
 
     try:
         payload = asyncio.run(_fetch())

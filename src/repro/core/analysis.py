@@ -20,6 +20,7 @@ from typing import Dict, Iterable, Optional, Tuple
 
 import networkx as nx
 
+from repro.graphs.paths import power_weighted
 from repro.net.network import Network
 from repro.core.cbtc import run_cbtc
 from repro.core.optimizations import pairwise_edge_removal, shrink_back
@@ -171,14 +172,6 @@ def verify_theorem_3_6(network: Network, alpha: float, *, remove_all: bool = Tru
     return preserves_connectivity(reference, pruned)
 
 
-def _path_power_cost(graph: nx.Graph, network: Network, power_exponent: float) -> nx.Graph:
-    weighted = nx.Graph()
-    weighted.add_nodes_from(graph.nodes)
-    for u, v in graph.edges:
-        weighted.add_edge(u, v, power=network.distance(u, v) ** power_exponent)
-    return weighted
-
-
 def power_stretch_factor(
     network: Network,
     candidate: nx.Graph,
@@ -196,15 +189,15 @@ def power_stretch_factor(
     ``sample_pairs`` to restrict the computation on large networks.
     """
     reference = network.max_power_graph()
-    ref_weighted = _path_power_cost(reference, network, power_exponent)
-    cand_weighted = _path_power_cost(candidate, network, power_exponent)
+    ref_weighted = power_weighted(reference, network, power_exponent)
+    cand_weighted = power_weighted(candidate, network, power_exponent)
 
     if sample_pairs is None:
         sample_pairs = combinations(sorted(reference.nodes), 2)
 
     worst = 1.0
-    ref_lengths = dict(nx.all_pairs_dijkstra_path_length(ref_weighted, weight="power"))
-    cand_lengths = dict(nx.all_pairs_dijkstra_path_length(cand_weighted, weight="power"))
+    ref_lengths = dict(nx.all_pairs_dijkstra_path_length(ref_weighted, weight="power_cost"))
+    cand_lengths = dict(nx.all_pairs_dijkstra_path_length(cand_weighted, weight="power_cost"))
     for u, v in sample_pairs:
         ref_cost = ref_lengths.get(u, {}).get(v)
         if ref_cost is None:

@@ -21,7 +21,8 @@ from repro.net.network import Network
 from repro.net.node import NodeId
 
 
-def _power_weighted(graph: nx.Graph, network: Network, exponent: float, overhead: float) -> nx.Graph:
+def power_weighted(graph: nx.Graph, network: Network, exponent: float, overhead: float = 0.0) -> nx.Graph:
+    """A copy of ``graph`` whose edges carry ``power_cost = d**exponent + overhead``."""
     weighted = nx.Graph()
     weighted.add_nodes_from(graph.nodes)
     for u, v in graph.edges:
@@ -45,7 +46,7 @@ def minimum_power_path_cost(
     the paper's competitiveness discussion uses, with ``c`` the receiver or
     processing overhead).  Returns ``None`` when no route exists.
     """
-    weighted = _power_weighted(graph, network, exponent, per_hop_overhead)
+    weighted = power_weighted(graph, network, exponent, per_hop_overhead)
     try:
         return nx.dijkstra_path_length(weighted, source, target, weight="power_cost")
     except (nx.NetworkXNoPath, nx.NodeNotFound):
@@ -60,7 +61,7 @@ def all_pairs_power_costs(
     per_hop_overhead: float = 0.0,
 ) -> Dict[NodeId, Dict[NodeId, float]]:
     """Minimum route power between every pair of nodes."""
-    weighted = _power_weighted(graph, network, exponent, per_hop_overhead)
+    weighted = power_weighted(graph, network, exponent, per_hop_overhead)
     return {
         source: dict(costs)
         for source, costs in nx.all_pairs_dijkstra_path_length(weighted, weight="power_cost")

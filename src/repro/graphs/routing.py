@@ -36,6 +36,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import networkx as nx
 
+from repro.graphs.paths import power_weighted
 from repro.net.network import Network
 from repro.net.node import NodeId
 from repro.sim.randomness import SeededRandom, derive_seed
@@ -195,16 +196,8 @@ class SourceRouteCache:
         self._tree_edges.clear()
 
 
-def _power_weighted(graph: nx.Graph, network: Network, exponent: float) -> nx.Graph:
-    weighted = nx.Graph()
-    weighted.add_nodes_from(graph.nodes)
-    for u, v in graph.edges:
-        weighted.add_edge(u, v, power_cost=network.distance(u, v) ** exponent)
-    return weighted
-
-
 def _all_pairs_paths(graph: nx.Graph, network: Network, exponent: float):
-    weighted = _power_weighted(graph, network, exponent)
+    weighted = power_weighted(graph, network, exponent)
     for source, paths in nx.all_pairs_dijkstra_path(weighted, weight="power_cost"):
         for target, path in paths.items():
             if source < target:
@@ -241,7 +234,7 @@ def _sampled_pairs_paths(graph: nx.Graph, network: Network, exponent: float, pai
         chosen = sorted(rng.sample(candidates, pairs))
     else:
         chosen = candidates
-    weighted = _power_weighted(graph, network, exponent)
+    weighted = power_weighted(graph, network, exponent)
     targets_by_source: Dict[NodeId, list] = {}
     for source, target in chosen:
         targets_by_source.setdefault(source, []).append(target)

@@ -8,6 +8,12 @@ interval, *new* when a beacon arrives from a node not heard from during the
 previous interval, and an *angle change* is flagged when a known neighbour's
 direction of arrival moves by more than a threshold.
 
+This package is a standalone model of that beaconing on the
+discrete-event simulator, and only its own tests (``tests/ndp/``) use it.
+The reconfiguration the rest of the stack runs
+(:class:`~repro.core.reconfiguration.ReconfigurationManager`) derives
+join, leave and angle-change events from geometry, not from beacons.
+
 Two layers are provided:
 
 ``BeaconProtocol``
@@ -15,9 +21,8 @@ Two layers are provided:
     tracks incoming ones on the discrete-event simulator, emitting
     :class:`NeighborEvent` objects (join / leave / angle-change).
 ``NeighborTable``
-    The bookkeeping shared by the protocol and by the centralized
-    reconfiguration experiments: last-heard times, directions, and the event
-    derivation rules.
+    The protocol's bookkeeping: last-heard times, directions, and the
+    event derivation rules.
 """
 
 from repro.ndp.events import NeighborEvent, NeighborEventType

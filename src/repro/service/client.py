@@ -1,12 +1,17 @@
 """Asyncio client for the fleet server's wire protocol.
 
-Three layers:
+Two classes:
 
-* :class:`ServiceClient` — one connection, one request at a time.  Reads
-  are **id-matched** (responses whose ``id`` does not match the in-flight
-  request are discarded) so injected duplicate or stale responses never
-  desynchronize the stream, and every blocking read carries a timeout so a
-  dropped response surfaces as :class:`ServiceTimeout` instead of a hang.
+* :class:`ServiceClient` — one connection.  A background read loop
+  demultiplexes the stream: responses are **id-matched** to the pending
+  request they answer (duplicate, stale and late responses are
+  discarded), so several requests may be in flight on one connection, and
+  push frames (no ``id``) are applied to per-world
+  :class:`~repro.service.subs.mirror.WorldMirror` reconstructions of the
+  subscribed worlds, with resume-from-sequence reconnection.  Every
+  request carries a timeout, so a dropped response surfaces as
+  :class:`ServiceTimeout` instead of a hang.  It is an async context
+  manager: ``async with await ServiceClient.connect(host, port) as c``.
 * :class:`RetryingClient` — wraps a connection factory with deadline-aware
   retries: jittered exponential backoff (seeded, deterministic), a
   per-request deadline budget, ``retry_after`` hints honoured, reconnection
@@ -14,10 +19,6 @@ Three layers:
   request that *did* land the first time is answered from the server's
   dedup cache instead of applied twice (exactly-once from the client's
   point of view).
-* :class:`SubscribingClient` — a demultiplexing connection that subscribes
-  to worlds and maintains live :class:`~repro.service.subs.mirror.
-  WorldMirror` reconstructions from server-pushed diff frames, with
-  resume-from-sequence reconnection.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import asyncio
 import itertools
 import random
 import uuid
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.obs import clock
 from repro.service import protocol
@@ -81,12 +82,28 @@ class DeadlineExceeded(ServiceError):
         self.last_error = last_error
 
 
+async def _open(
+    host: str, port: int, timeout: Optional[float]
+) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
+    opening = asyncio.open_connection(host, port, limit=protocol.STREAM_LIMIT)
+    if timeout is None:
+        return await opening
+    return await asyncio.wait_for(opening, timeout)
+
+
 class ServiceClient:
     """One connection speaking the newline-delimited JSON protocol.
 
-    Requests are issued strictly one at a time per client (write, then read
-    the matching response), mirroring the closed-loop usage of the load
-    generator; open several clients for concurrency.
+    The read side is a background demultiplexer: id-carrying envelopes
+    answer pending requests (any number may be in flight), while push
+    frames (no ``id``) are applied to the per-world
+    :class:`~repro.service.subs.mirror.WorldMirror` — so ordinary requests
+    and a live subscription share one connection safely.
+
+    Resume: after a disconnect (or a :class:`~repro.service.subs.mirror.
+    SequenceGap`), :meth:`resume` reconnects and re-subscribes every world
+    with ``since=<mirror cursor>`` — the server answers with the missing
+    diffs from its ring, or a full snapshot when the cursor aged out.
     """
 
     def __init__(
@@ -100,33 +117,101 @@ class ServiceClient:
         self._writer = writer
         self._ids = itertools.count(1)
         self.timeout = timeout
+        self.mirrors: Dict[str, WorldMirror] = {}
+        self.frames_received = 0
+        self.gaps = 0
+        #: Worlds whose stream gapped and need a re-subscribe to heal.
+        self.stale: Set[str] = set()
+        self._pending: Dict[int, asyncio.Future] = {}
+        #: Diff frames that raced ahead of their subscribe response (the
+        #: push path can win the write lock before the responder runs).
+        self._early: Dict[str, List[Dict[str, Any]]] = {}
+        self._frame_event = asyncio.Event()
+        self._endpoint: Optional[Tuple[str, int]] = None
+        #: Optional hook called with each frame that advanced a mirror
+        #: (``cbtc watch`` prints from here; duplicates never reach it).
+        self.on_frame: Optional[Callable[[Dict[str, Any]], None]] = None
+        self._reader_task = asyncio.create_task(self._read_loop())
 
     @classmethod
     async def connect(
         cls, host: str, port: int, *, timeout: Optional[float] = DEFAULT_TIMEOUT
     ) -> "ServiceClient":
         """Open a connection to a running fleet server."""
-        if timeout is not None:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(host, port, limit=protocol.STREAM_LIMIT),
-                timeout,
-            )
-        else:
-            reader, writer = await asyncio.open_connection(
-                host, port, limit=protocol.STREAM_LIMIT
-            )
-        return cls(reader, writer, timeout=timeout)
+        reader, writer = await _open(host, port, timeout)
+        client = cls(reader, writer, timeout=timeout)
+        client._endpoint = (host, port)
+        return client
 
-    async def _readline(self, timeout: Optional[float]) -> bytes:
-        if timeout is None:
-            return await self._reader.readline()
+    async def __aenter__(self) -> "ServiceClient":
+        return self
+
+    async def __aexit__(self, *exc_info: Any) -> None:
+        await self.close()
+
+    @property
+    def connected(self) -> bool:
+        return not self._reader_task.done() and not self._writer.is_closing()
+
+    # ------------------------------------------------------------------ #
+    # Read side: demultiplex responses and push frames
+    # ------------------------------------------------------------------ #
+    async def _read_loop(self) -> None:
         try:
-            return await asyncio.wait_for(self._reader.readline(), timeout)
-        except asyncio.TimeoutError:
-            raise ServiceTimeout(
-                f"no response within {timeout:g}s (request may or may not have applied)"
-            ) from None
+            while True:
+                line = await self._reader.readline()
+                if not line:
+                    break
+                try:
+                    message = protocol.decode_message(line)
+                except ValueError:
+                    continue
+                if protocol.is_push_frame(message):
+                    self._on_frame(message)
+                    continue
+                # Server-initiated envelopes (id=None malformed-input
+                # errors) and stale or duplicate responses answer nothing.
+                future = self._pending.pop(message.get("id"), None)
+                if future is not None and not future.done():
+                    future.set_result(message)
+        except (ConnectionError, OSError):
+            pass
+        finally:
+            for future in self._pending.values():
+                if not future.done():
+                    future.set_exception(ConnectionError("connection lost"))
+            self._pending.clear()
+            # Wake waiters so they observe the disconnect instead of
+            # sleeping on an event no frame will ever set again.
+            self._frame_event.set()
 
+    def _on_frame(self, frame: Dict[str, Any]) -> None:
+        world = frame.get("world")
+        mirror = self.mirrors.get(world)
+        if mirror is None:
+            return
+        if mirror.seq is None and frame.get("kind") == protocol.FRAME_DIFF:
+            # No base snapshot yet (subscribe response still in flight);
+            # park the diff until :meth:`subscribe` seeds the mirror.
+            self._early.setdefault(world, []).append(frame)
+            return
+        self._apply_frame(mirror, frame)
+
+    def _apply_frame(self, mirror: WorldMirror, frame: Dict[str, Any]) -> None:
+        advanced = False
+        try:
+            advanced = mirror.apply(frame)
+        except SequenceGap:
+            self.gaps += 1
+            self.stale.add(mirror.world)
+        self.frames_received += 1
+        if advanced and self.on_frame is not None:
+            self.on_frame(frame)
+        self._frame_event.set()
+
+    # ------------------------------------------------------------------ #
+    # Requests (share the connection with the push stream)
+    # ------------------------------------------------------------------ #
     async def request(
         self,
         op: str,
@@ -138,10 +223,8 @@ class ServiceClient:
     ) -> Dict[str, Any]:
         """Send one request and return the raw response envelope.
 
-        The read is id-matched: responses carrying a different ``id``
-        (injected duplicates, responses to an earlier timed-out request
-        still in the pipe) are discarded rather than mistaken for the
-        answer.  ``timeout`` overrides the client default for this request.
+        ``timeout`` overrides the client default for this request.  A
+        response that arrives after the timeout is discarded.
         """
         request_id = next(self._ids)
         message: Dict[str, Any] = {"id": request_id, "op": op}
@@ -151,18 +234,27 @@ class ServiceClient:
             message["params"] = params
         if token is not None:
             message["token"] = token
-        self._writer.write(protocol.encode_message(message))
-        await self._writer.drain()
-        read_timeout = self.timeout if timeout is None else timeout
-        while True:
-            line = await self._readline(read_timeout)
-            if not line:
-                raise ConnectionError("server closed the connection")
-            response = protocol.decode_message(line)
-            # Server-initiated envelopes (id=None malformed-input errors)
-            # and stale/duplicate responses do not answer this request.
-            if response.get("id") == request_id:
-                return response
+        if self._reader_task.done():
+            # The read loop already failed its pending futures and would
+            # never answer this one.
+            raise ConnectionError("connection lost")
+        future: asyncio.Future = asyncio.get_running_loop().create_future()
+        self._pending[request_id] = future
+        try:
+            self._writer.write(protocol.encode_message(message))
+            await self._writer.drain()
+            read_timeout = self.timeout if timeout is None else timeout
+            if read_timeout is None:
+                return await future
+            try:
+                return await asyncio.wait_for(future, read_timeout)
+            except asyncio.TimeoutError:
+                raise ServiceTimeout(
+                    f"no response within {read_timeout:g}s "
+                    f"(request may or may not have applied)"
+                ) from None
+        finally:
+            self._pending.pop(request_id, None)
 
     async def call(
         self,
@@ -185,8 +277,122 @@ class ServiceClient:
             )
         return response.get("result")
 
+    # ------------------------------------------------------------------ #
+    # Subscriptions
+    # ------------------------------------------------------------------ #
+    async def subscribe(
+        self,
+        world: str,
+        *,
+        ring: Optional[int] = None,
+        timeout: Optional[float] = None,
+    ) -> Dict[str, Any]:
+        """Subscribe to ``world`` (resuming from the mirror's cursor if set).
+
+        The response seeds the mirror: a fresh subscribe carries the base
+        snapshot; a resume carries the missing diffs (or a resync snapshot
+        when the cursor aged past the server's ring).
+        """
+        mirror = self.mirrors.get(world)
+        if mirror is None:
+            mirror = self.mirrors[world] = WorldMirror(world)
+        params: Dict[str, Any] = {}
+        if ring is not None:
+            params["ring"] = ring
+        if mirror.seq is not None:
+            params["since"] = mirror.seq
+        result = await self.call(
+            protocol.SUBSCRIBE, world=world, params=params, timeout=timeout
+        )
+        seq = result["seq"]
+        if "snapshot" in result:
+            mirror.seed(seq, result["snapshot"])
+            if result.get("resync"):
+                mirror.resyncs += 1
+        else:
+            for frame in result.get("frames", []):
+                self._apply_frame(mirror, frame)
+        for frame in self._early.pop(world, []):
+            self._apply_frame(mirror, frame)
+        self.stale.discard(world)
+        return result
+
+    async def unsubscribe(self, world: str) -> bool:
+        result = await self.call(protocol.UNSUBSCRIBE, world=world)
+        self.mirrors.pop(world, None)
+        self._early.pop(world, None)
+        self.stale.discard(world)
+        return bool(result.get("unsubscribed"))
+
+    def snapshot(self, world: str) -> Optional[Dict[str, Any]]:
+        """The current reconstructed snapshot (None before the base lands)."""
+        mirror = self.mirrors.get(world)
+        return None if mirror is None else mirror.snapshot
+
+    async def wait_for(
+        self,
+        world: str,
+        *,
+        seq: Optional[int] = None,
+        deleted: bool = False,
+        timeout: Optional[float] = None,
+    ) -> WorldMirror:
+        """Wait until ``world``'s mirror reaches ``seq`` (or any new frame).
+
+        With ``deleted=True``, waits for the terminal ``deleted`` frame.
+        Raises :class:`ServiceTimeout` on timeout and ``ConnectionError``
+        if the connection dies first.
+        """
+        mirror = self.mirrors[world]
+        baseline = mirror.frames_applied
+        deadline = None if timeout is None else clock.wall() + timeout
+        while True:
+            if deleted:
+                if mirror.deleted:
+                    return mirror
+            elif seq is not None:
+                if mirror.seq is not None and mirror.seq >= seq:
+                    return mirror
+            elif mirror.frames_applied > baseline:
+                return mirror
+            if self._reader_task.done():
+                raise ConnectionError("connection lost while waiting for frames")
+            self._frame_event.clear()
+            waiter = self._frame_event.wait()
+            if deadline is None:
+                await waiter
+                continue
+            remaining = deadline - clock.wall()
+            if remaining <= 0:
+                raise ServiceTimeout(f"no qualifying frame for {world!r} within the timeout")
+            try:
+                await asyncio.wait_for(waiter, remaining)
+            except asyncio.TimeoutError:
+                raise ServiceTimeout(
+                    f"no qualifying frame for {world!r} within the timeout"
+                ) from None
+
+    async def resume(self) -> None:
+        """Reconnect and re-subscribe every world from its mirror cursor."""
+        if self._endpoint is None:
+            raise RuntimeError("resume() needs a client built via connect()")
+        await self.close()
+        self._reader, self._writer = await _open(*self._endpoint, self.timeout)
+        self._early = {}
+        self._reader_task = asyncio.create_task(self._read_loop())
+        for world in sorted(self.mirrors):
+            await self.subscribe(world)
+
+    async def heal(self) -> None:
+        """Re-subscribe every world whose stream gapped (after a resize
+        whose racing collects outran a ring, for example)."""
+        for world in sorted(self.stale):
+            await self.subscribe(world)
+
     async def close(self) -> None:
-        """Close the connection."""
+        """Stop the read loop and close the connection."""
+        self._reader_task.cancel()
+        await asyncio.gather(self._reader_task, return_exceptions=True)
         self._writer.close()
         try:
             await self._writer.wait_closed()
@@ -373,319 +579,3 @@ class RetryingClient:
         if self._client is not None:
             await self._client.close()
             self._client = None
-
-
-class SubscribingClient:
-    """A connection that watches worlds through server-pushed diff frames.
-
-    Unlike :class:`ServiceClient`, the read side is a background
-    demultiplexer: id-carrying envelopes answer in-flight requests, while
-    push frames (no ``id``) are applied to the per-world
-    :class:`~repro.service.subs.mirror.WorldMirror` — so ordinary requests
-    and a live subscription share one connection safely.
-
-    Resume: after a disconnect (or a :class:`~repro.service.subs.mirror.
-    SequenceGap`), :meth:`resume` reconnects and re-subscribes every world
-    with ``since=<mirror cursor>`` — the server answers with the missing
-    diffs from its ring, or a full snapshot when the cursor aged out.
-    """
-
-    def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        *,
-        timeout: Optional[float] = DEFAULT_TIMEOUT,
-    ) -> None:
-        self._reader = reader
-        self._writer = writer
-        self._ids = itertools.count(1)
-        self.timeout = timeout
-        self.mirrors: Dict[str, WorldMirror] = {}
-        self.frames_received = 0
-        self.gaps = 0
-        #: Worlds whose stream gapped and need a re-subscribe to heal.
-        self.stale: Set[str] = set()
-        self._pending: Dict[int, asyncio.Future] = {}
-        #: Diff frames that raced ahead of their subscribe response (the
-        #: push path can win the write lock before the responder runs).
-        self._early: Dict[str, List[Dict[str, Any]]] = {}
-        self._frame_event = asyncio.Event()
-        self._endpoint: Optional[Any] = None
-        #: Optional hook called with each frame that advanced a mirror
-        #: (``cbtc watch`` prints from here; duplicates never reach it).
-        self.on_frame: Optional[Callable[[Dict[str, Any]], None]] = None
-        self._reader_task = asyncio.create_task(self._read_loop())
-
-    @classmethod
-    async def connect(
-        cls, host: str, port: int, *, timeout: Optional[float] = DEFAULT_TIMEOUT
-    ) -> "SubscribingClient":
-        if timeout is not None:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(host, port, limit=protocol.STREAM_LIMIT),
-                timeout,
-            )
-        else:
-            reader, writer = await asyncio.open_connection(
-                host, port, limit=protocol.STREAM_LIMIT
-            )
-        client = cls(reader, writer, timeout=timeout)
-        client._endpoint = (host, port)
-        return client
-
-    @property
-    def connected(self) -> bool:
-        return not self._reader_task.done() and not self._writer.is_closing()
-
-    # ------------------------------------------------------------------ #
-    # Read side: demultiplex responses and push frames
-    # ------------------------------------------------------------------ #
-    async def _read_loop(self) -> None:
-        try:
-            while True:
-                line = await self._reader.readline()
-                if not line:
-                    break
-                try:
-                    message = protocol.decode_message(line)
-                except ValueError:
-                    continue
-                if protocol.is_push_frame(message):
-                    self._on_frame(message)
-                    continue
-                future = self._pending.pop(message.get("id"), None)
-                if future is not None and not future.done():
-                    future.set_result(message)
-        except (ConnectionError, OSError):
-            pass
-        finally:
-            for future in self._pending.values():
-                if not future.done():
-                    future.set_exception(ConnectionError("connection lost"))
-            self._pending.clear()
-            # Wake waiters so they observe the disconnect instead of
-            # sleeping on an event no frame will ever set again.
-            self._frame_event.set()
-
-    def _on_frame(self, frame: Dict[str, Any]) -> None:
-        world = frame.get("world")
-        mirror = self.mirrors.get(world)
-        if mirror is None:
-            return
-        if mirror.seq is None and frame.get("kind") == protocol.FRAME_DIFF:
-            # No base snapshot yet (subscribe response still in flight);
-            # park the diff until :meth:`subscribe` seeds the mirror.
-            self._early.setdefault(world, []).append(frame)
-            return
-        self._apply_frame(mirror, frame)
-
-    def _apply_frame(self, mirror: WorldMirror, frame: Dict[str, Any]) -> None:
-        advanced = False
-        try:
-            advanced = mirror.apply(frame)
-        except SequenceGap:
-            self.gaps += 1
-            self.stale.add(mirror.world)
-        self.frames_received += 1
-        if advanced and self.on_frame is not None:
-            self.on_frame(frame)
-        self._frame_event.set()
-
-    # ------------------------------------------------------------------ #
-    # Requests (share the connection with the push stream)
-    # ------------------------------------------------------------------ #
-    async def request(
-        self,
-        op: str,
-        *,
-        world: Optional[str] = None,
-        params: Optional[Dict[str, Any]] = None,
-        token: Optional[str] = None,
-        timeout: Optional[float] = None,
-    ) -> Dict[str, Any]:
-        request_id = next(self._ids)
-        message: Dict[str, Any] = {"id": request_id, "op": op}
-        if world is not None:
-            message["world"] = world
-        if params:
-            message["params"] = params
-        if token is not None:
-            message["token"] = token
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._pending[request_id] = future
-        if self._reader_task.done():
-            # The read loop already failed its pending futures and will
-            # never answer this one.
-            del self._pending[request_id]
-            raise ConnectionError("connection lost")
-        self._writer.write(protocol.encode_message(message))
-        await self._writer.drain()
-        read_timeout = self.timeout if timeout is None else timeout
-        if read_timeout is None:
-            return await future
-        try:
-            return await asyncio.wait_for(future, read_timeout)
-        except asyncio.TimeoutError:
-            self._pending.pop(request_id, None)
-            raise ServiceTimeout(
-                f"no response within {read_timeout:g}s (request may or may not have applied)"
-            ) from None
-
-    async def call(
-        self,
-        op: str,
-        *,
-        world: Optional[str] = None,
-        params: Optional[Dict[str, Any]] = None,
-        token: Optional[str] = None,
-        timeout: Optional[float] = None,
-    ) -> Any:
-        response = await self.request(
-            op, world=world, params=params, token=token, timeout=timeout
-        )
-        if not response.get("ok"):
-            raise ServiceError(
-                response.get("error", "unknown server error"),
-                code=response.get("code"),
-                retry_after=response.get("retry_after"),
-            )
-        return response.get("result")
-
-    # ------------------------------------------------------------------ #
-    # Subscriptions
-    # ------------------------------------------------------------------ #
-    async def subscribe(
-        self,
-        world: str,
-        *,
-        ring: Optional[int] = None,
-        timeout: Optional[float] = None,
-    ) -> Dict[str, Any]:
-        """Subscribe to ``world`` (resuming from the mirror's cursor if set).
-
-        The response seeds the mirror: a fresh subscribe carries the base
-        snapshot; a resume carries the missing diffs (or a resync snapshot
-        when the cursor aged past the server's ring).
-        """
-        mirror = self.mirrors.get(world)
-        if mirror is None:
-            mirror = self.mirrors[world] = WorldMirror(world)
-        params: Dict[str, Any] = {}
-        if ring is not None:
-            params["ring"] = ring
-        if mirror.seq is not None:
-            params["since"] = mirror.seq
-        result = await self.call(
-            protocol.SUBSCRIBE, world=world, params=params, timeout=timeout
-        )
-        seq = result["seq"]
-        if "snapshot" in result:
-            mirror.seed(seq, result["snapshot"])
-            if result.get("resync"):
-                mirror.resyncs += 1
-        else:
-            for frame in result.get("frames", []):
-                self._apply_frame(mirror, frame)
-        for frame in self._early.pop(world, []):
-            self._apply_frame(mirror, frame)
-        self.stale.discard(world)
-        return result
-
-    async def unsubscribe(self, world: str) -> bool:
-        result = await self.call(protocol.UNSUBSCRIBE, world=world)
-        self.mirrors.pop(world, None)
-        self._early.pop(world, None)
-        self.stale.discard(world)
-        return bool(result.get("unsubscribed"))
-
-    def snapshot(self, world: str) -> Optional[Dict[str, Any]]:
-        """The current reconstructed snapshot (None before the base lands)."""
-        mirror = self.mirrors.get(world)
-        return None if mirror is None else mirror.snapshot
-
-    async def wait_for(
-        self,
-        world: str,
-        *,
-        seq: Optional[int] = None,
-        deleted: bool = False,
-        timeout: Optional[float] = None,
-    ) -> WorldMirror:
-        """Wait until ``world``'s mirror reaches ``seq`` (or any new frame).
-
-        With ``deleted=True``, waits for the terminal ``deleted`` frame.
-        Raises :class:`ServiceTimeout` on timeout and ``ConnectionError``
-        if the connection dies first.
-        """
-        mirror = self.mirrors[world]
-        baseline = mirror.frames_applied
-        deadline = None if timeout is None else clock.wall() + timeout
-        while True:
-            if deleted:
-                if mirror.deleted:
-                    return mirror
-            elif seq is not None:
-                if mirror.seq is not None and mirror.seq >= seq:
-                    return mirror
-            elif mirror.frames_applied > baseline:
-                return mirror
-            if self._reader_task.done():
-                raise ConnectionError("connection lost while waiting for frames")
-            self._frame_event.clear()
-            waiter = self._frame_event.wait()
-            if deadline is None:
-                await waiter
-                continue
-            remaining = deadline - clock.wall()
-            if remaining <= 0:
-                raise ServiceTimeout(f"no qualifying frame for {world!r} within the timeout")
-            try:
-                await asyncio.wait_for(waiter, remaining)
-            except asyncio.TimeoutError:
-                raise ServiceTimeout(
-                    f"no qualifying frame for {world!r} within the timeout"
-                ) from None
-
-    async def resume(self) -> None:
-        """Reconnect and re-subscribe every world from its mirror cursor."""
-        if self._endpoint is None:
-            raise RuntimeError("resume() needs a client built via connect()")
-        if not self._reader_task.done():
-            self._reader_task.cancel()
-            await asyncio.gather(self._reader_task, return_exceptions=True)
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):  # pragma: no cover - teardown races
-            pass
-        host, port = self._endpoint
-        if self.timeout is not None:
-            self._reader, self._writer = await asyncio.wait_for(
-                asyncio.open_connection(host, port, limit=protocol.STREAM_LIMIT),
-                self.timeout,
-            )
-        else:
-            self._reader, self._writer = await asyncio.open_connection(
-                host, port, limit=protocol.STREAM_LIMIT
-            )
-        self._pending = {}
-        self._early = {}
-        self._reader_task = asyncio.create_task(self._read_loop())
-        for world in sorted(self.mirrors):
-            await self.subscribe(world)
-
-    async def heal(self) -> None:
-        """Re-subscribe every world whose stream gapped (after a resize
-        whose racing collects outran a ring, for example)."""
-        for world in sorted(self.stale):
-            await self.subscribe(world)
-
-    async def close(self) -> None:
-        self._reader_task.cancel()
-        await asyncio.gather(self._reader_task, return_exceptions=True)
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):  # pragma: no cover - teardown races
-            pass

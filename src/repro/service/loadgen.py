@@ -40,7 +40,6 @@ from repro.service.client import (
     RetryingClient,
     ServiceClient,
     ServiceError,
-    SubscribingClient,
 )
 from repro.service.replay import replay_serial
 from repro.service.worlds import DEFAULT_SCENARIO
@@ -320,7 +319,7 @@ async def run_load_async(
     errors = 0
     setup_requests = 0
     failures: List[BaseException] = []
-    watchers: List[SubscribingClient] = []
+    watchers: List[ServiceClient] = []
     mirrors_verified = 0
     frames_pushed = 0
     subscriber_resyncs = 0
@@ -418,9 +417,7 @@ async def run_load_async(
         watcher_count = min(len(watched), config.connections) or 0
         for index in range(watcher_count):
             watchers.append(
-                await SubscribingClient.connect(
-                    host, port, timeout=config.request_timeout
-                )
+                await ServiceClient.connect(host, port, timeout=config.request_timeout)
             )
         for index, world in enumerate(watched):
             await watchers[index % watcher_count].subscribe(world)
@@ -485,7 +482,7 @@ async def run_load_async(
 
 
 async def _settle_watchers(
-    watchers: List[SubscribingClient],
+    watchers: List[ServiceClient],
     watched: List[str],
     snapshots: Dict[str, str],
 ) -> int:
@@ -523,11 +520,8 @@ async def _settle_watchers(
 
 async def _fetch_metrics(host: str, port: int) -> Dict[str, Any]:
     """One ``metrics`` op round trip on a dedicated connection."""
-    client = await ServiceClient.connect(host, port)
-    try:
+    async with await ServiceClient.connect(host, port) as client:
         return await client.call(protocol.METRICS)
-    finally:
-        await client.close()
 
 
 def _metrics_report(
@@ -629,16 +623,13 @@ async def resnapshot_async(host: str, port: int, config: LoadConfig) -> Dict[str
     :func:`serial_reference` of the same config.
     """
     snapshots: Dict[str, str] = {}
-    client = await ServiceClient.connect(host, port)
-    try:
+    async with await ServiceClient.connect(host, port) as client:
         for index in range(config.worlds):
             wid = world_name(index)
             response = await client.request(protocol.SNAPSHOT, world=wid, params={})
             if not response.get("ok"):
                 raise ServiceError(f"snapshot of {wid!r} failed: {response.get('error')}")
             snapshots[wid] = results_to_json(response["result"])
-    finally:
-        await client.close()
     return snapshots
 
 

@@ -32,12 +32,12 @@ no ``id``::
 
     {"push": "frame", "world": "w3", "seq": 12, "kind": "diff", "data": {...}}
 
-Clients that never subscribe can ignore them (the id-matched read loop in
-:class:`~repro.service.client.ServiceClient` discards any envelope whose
-``id`` does not answer the in-flight request).  Requests may carry an
-optional ``protocol_version`` field; the server answers versions it does
-not speak with a structured :data:`UNSUPPORTED_VERSION` error instead of
-misinterpreting the envelope.
+Clients that never subscribe can ignore them (the read loop in
+:class:`~repro.service.client.ServiceClient` applies frames only to the
+worlds it subscribed and matches every other envelope to a pending
+request by ``id``).  Requests may carry an optional ``protocol_version``
+field; the server answers versions it does not speak with a structured
+:data:`UNSUPPORTED_VERSION` error instead of misinterpreting the envelope.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ Layering, shard to client:
   subscribed connections: frame fan-out, per-subscriber bounded queues
   with diff coalescing, resync fallback, terminal delete frames.
 * :mod:`~repro.service.subs.mirror` — client-side snapshot reconstruction
-  (shared by ``SubscribingClient``, the replay mirror, and the battery).
+  (shared by ``ServiceClient``, the replay mirror, and the battery).
 """
 
 from repro.service.subs.diff import apply_diff, compute_diff, merge_diffs

@@ -4,7 +4,7 @@ A :class:`WorldMirror` holds one world's live snapshot as reconstructed
 from the subscription stream: seeded with the base snapshot the
 ``subscribe`` response carried, then advanced by applying ``diff`` frames
 in sequence order.  It is the single implementation used by
-:class:`~repro.service.client.SubscribingClient`, the engine-level replay
+:class:`~repro.service.client.ServiceClient`, the engine-level replay
 mirror, the hypothesis battery, and ``cbtc watch`` — so the byte-identity
 contract is enforced against exactly the code real subscribers run.
 

@@ -202,6 +202,57 @@ class TestLoadAgainstServer:
         run(_with_server(body))
 
 
+class TestConcurrentCalls:
+    """Several requests in flight on one connection, answered by id."""
+
+    def test_gathered_calls_on_one_connection_all_answer(self):
+        async def body(server):
+            client = await ServiceClient.connect("127.0.0.1", server.port)
+            try:
+                pong, listing = await asyncio.gather(
+                    client.call(protocol.PING), client.call(protocol.LIST_WORLDS)
+                )
+                assert pong == {"pong": True, "shards": 2}
+                assert listing["worlds"] == {}
+            finally:
+                await client.close()
+
+        run(_with_server(body))
+
+    def test_gathered_calls_beside_push_frames_keep_the_mirror(self):
+        """Responses and the diff frames of a subscribed world interleave
+        on one connection; every frame still reaches the mirror."""
+        from repro.io.results import results_to_json
+
+        async def body(server):
+            async with await ServiceClient.connect("127.0.0.1", server.port) as client:
+                await client.call(
+                    protocol.CREATE_WORLD,
+                    world="w",
+                    params={"nodes": 20, "seed": 3, "mover_fraction": 0.3},
+                )
+                await client.subscribe("w")
+                base = client.mirrors["w"].seq
+                *advanced, stats, pong = await asyncio.gather(
+                    *(
+                        client.call(protocol.ADVANCE, world="w", params={"steps": 1})
+                        for _ in range(3)
+                    ),
+                    client.call(protocol.QUERY_STATS, world="w"),
+                    client.call(protocol.PING),
+                )
+                assert len(advanced) == 3
+                assert stats["alive_nodes"] == 20
+                assert pong["pong"] is True
+                mirror = await client.wait_for("w", seq=base + 3, timeout=10.0)
+                assert client.frames_received >= 3
+                assert not client.stale
+                fresh = await client.call(protocol.SNAPSHOT, world="w")
+                assert results_to_json(mirror.snapshot) == results_to_json(fresh)
+
+        run(_with_server(body))
+
+
 class TestDurableServer:
     def test_state_dir_survives_a_server_restart(self, tmp_path):
         """Stop a --state-dir server, start a fresh one on the directory:

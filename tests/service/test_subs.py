@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from repro.io.results import canonical_json, results_to_json
 from repro.service import protocol
-from repro.service.client import ServiceClient, ServiceError, SubscribingClient
+from repro.service.client import ServiceClient, ServiceError
 from repro.service.replay import ShardedReplayer, replay_serial
 from repro.service.server import FleetServer
 from repro.service.subs.diff import apply_diff, compute_diff, merge_diffs
@@ -219,7 +219,7 @@ class TestLiveBattery:
     ):
         async def body(server):
             client = await ServiceClient.connect("127.0.0.1", server.port)
-            watcher = await SubscribingClient.connect("127.0.0.1", server.port)
+            watcher = await ServiceClient.connect("127.0.0.1", server.port)
             try:
                 for world in WORLDS:
                     await client.call(
@@ -301,7 +301,7 @@ class TestReplayerMirrors:
 class TestLifecycle:
     def test_subscribe_to_nonexistent_world_is_an_error(self):
         async def body(server):
-            watcher = await SubscribingClient.connect("127.0.0.1", server.port)
+            watcher = await ServiceClient.connect("127.0.0.1", server.port)
             try:
                 with pytest.raises(ServiceError, match="unknown world"):
                     await watcher.subscribe("ghost")
@@ -318,7 +318,7 @@ class TestLifecycle:
     def test_delete_while_subscribed_pushes_terminal_frame(self):
         async def body(server):
             client = await ServiceClient.connect("127.0.0.1", server.port)
-            watcher = await SubscribingClient.connect("127.0.0.1", server.port)
+            watcher = await ServiceClient.connect("127.0.0.1", server.port)
             try:
                 await client.call(
                     protocol.CREATE_WORLD, world="doomed", params={"nodes": 10}
@@ -338,7 +338,7 @@ class TestLifecycle:
     def test_double_subscribe_is_idempotent(self):
         async def body(server):
             client = await ServiceClient.connect("127.0.0.1", server.port)
-            watcher = await SubscribingClient.connect("127.0.0.1", server.port)
+            watcher = await ServiceClient.connect("127.0.0.1", server.port)
             try:
                 await client.call(protocol.CREATE_WORLD, world="twice", params={"nodes": 10})
                 first = await watcher.subscribe("twice")
@@ -365,7 +365,7 @@ class TestLifecycle:
     def test_unsubscribe_stops_delivery(self):
         async def body(server):
             client = await ServiceClient.connect("127.0.0.1", server.port)
-            watcher = await SubscribingClient.connect("127.0.0.1", server.port)
+            watcher = await ServiceClient.connect("127.0.0.1", server.port)
             try:
                 await client.call(protocol.CREATE_WORLD, world="quiet", params={"nodes": 10})
                 await watcher.subscribe("quiet")
@@ -386,7 +386,7 @@ class TestLifecycle:
 
         async def first_life(server):
             client = await ServiceClient.connect("127.0.0.1", server.port)
-            watcher = await SubscribingClient.connect("127.0.0.1", server.port)
+            watcher = await ServiceClient.connect("127.0.0.1", server.port)
             try:
                 await client.call(
                     protocol.CREATE_WORLD,
@@ -404,7 +404,7 @@ class TestLifecycle:
 
         async def second_life(server, seq, snapshot_json):
             client = await ServiceClient.connect("127.0.0.1", server.port)
-            watcher = await SubscribingClient.connect("127.0.0.1", server.port)
+            watcher = await ServiceClient.connect("127.0.0.1", server.port)
             try:
                 # Hand-seed the mirror with the pre-restart cursor, as a
                 # client that survived the outage would hold it.
@@ -510,7 +510,7 @@ class TestEmptyRegistries:
     def test_metrics_subs_gauges_track_population(self):
         async def body(server):
             client = await ServiceClient.connect("127.0.0.1", server.port)
-            watcher = await SubscribingClient.connect("127.0.0.1", server.port)
+            watcher = await ServiceClient.connect("127.0.0.1", server.port)
             try:
                 await client.call(protocol.CREATE_WORLD, world="g", params={"nodes": 10})
                 await watcher.subscribe("g")
@@ -541,7 +541,7 @@ class TestDisconnect:
         async def body():
             server = await asyncio.start_server(answer_one_line_then_hang_up, "127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]
-            client = await SubscribingClient.connect("127.0.0.1", port, timeout=None)
+            client = await ServiceClient.connect("127.0.0.1", port, timeout=None)
             try:
                 assert (await client.request(protocol.PING))["ok"]
                 for _ in range(500):
