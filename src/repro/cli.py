@@ -826,7 +826,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--naive",
         action="store_true",
-        help="serve without snapshot/route caches and rebuild topology per request "
+        help="serve without the read cache and rebuild topology per request "
         "(the benchmark baseline)",
     )
     serve.add_argument(

@@ -106,6 +106,21 @@ def canonical_single_source_paths(
     return paths
 
 
+def link_weights(network: Network, graph: nx.Graph, *, min_hop: bool = False) -> Adjacency:
+    """The symmetric weighted adjacency that routes over ``graph`` minimize.
+
+    Each edge is weighted by the transmission power it requires (min-power
+    routing), or 1 with ``min_hop``.  Every node of ``graph`` is a key, so
+    an isolated node is present with no neighbours.
+    """
+    adjacency: Adjacency = {node: {} for node in graph.nodes}
+    for u, v in graph.edges:
+        weight = 1.0 if min_hop else network.required_power(u, v)
+        adjacency[u][v] = weight
+        adjacency[v][u] = weight
+    return adjacency
+
+
 class SourceRouteCache:
     """Per-source shortest-path-tree cache with dirty-edge invalidation.
 

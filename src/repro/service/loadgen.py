@@ -122,7 +122,7 @@ def build_world_trace(config: LoadConfig, index: int) -> List[Dict[str, Any]]:
     node_count = config.node_count
     # Reads draw from a small per-world pool of hot keys (route pairs,
     # traffic seeds) — serving workloads are zipfian, and hot keys are what
-    # snapshot caches exist for.  The pool is part of the deterministic
+    # read caches exist for.  The pool is part of the deterministic
     # trace, so replays agree on it.
     route_pool = [rng.sample(range(node_count), 2) for _ in range(4)]
     create_params: Dict[str, Any] = {
@@ -598,8 +598,6 @@ def _metrics_report(
             "p99": ((wait.percentile(0.99) if wait else None) or 0.0) * 1000.0,
         },
         "cache_hit_rates": {
-            "snapshot_cache": rate("cache.snapshot"),
-            "route_cache": rate("cache.route"),
             "derived_cache": rate("cache.derived"),
             "frontend_read_cache": rate("server.read_cache"),
         },

@@ -67,7 +67,7 @@ QUERY_ROUTE = "query_route"
 RUN_TRAFFIC = "run_traffic"
 #: The canonical byte-comparable serialization of the world — a read.
 SNAPSHOT = "snapshot"
-#: Per-world snapshot-cache and route-cache counters (never cached itself).
+#: Per-world serving counters: writes and topology work (never cached itself).
 CACHE_STATS = "cache_stats"
 #: Drop a world from its shard — a write.
 DELETE_WORLD = "delete_world"
@@ -137,7 +137,7 @@ WORLD_OPS = frozenset(
 #: Ops answered by the asyncio front end without touching any shard.
 FRONTEND_OPS = frozenset({PING, LIST_WORLDS, METRICS, SHUTDOWN, RESIZE})
 
-#: World ops that only read state (their responses are snapshot-cacheable).
+#: World ops that only read state (their responses are read-cacheable).
 READ_OPS = frozenset({QUERY_STATS, QUERY_ROUTE, RUN_TRAFFIC, SNAPSHOT})
 
 #: Ops the front end issues to its own shards but refuses from the wire:
@@ -272,9 +272,8 @@ def decode_message(line: bytes) -> Dict[str, Any]:
 def read_key(op: str, params: Dict[str, Any]) -> str:
     """Cache key of a read: the op plus the canonical serialization of params.
 
-    The shard's snapshot cache and the front end's read cache both key by
-    this, so a front-end hit is exactly a read the shard would answer from
-    its own cache.
+    The front end's read cache keys by this, so a hit is exactly a repeat
+    of a read the shard already answered over the same world state.
     """
     return f"{op}:{canonical_json(params)}"
 

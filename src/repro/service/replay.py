@@ -11,10 +11,12 @@ job) compare:
   executes the whole trace in order: the obviously correct baseline.
 * :func:`replay_sharded` — the trace is routed through the same
   consistent-hash ring the server uses, then each shard's queue is consumed
-  in seeded-random interleaved batches of seeded-random sizes.  Any such
-  schedule preserves per-world order (worlds never migrate between shards),
-  so the resulting snapshots must be byte-identical to the serial ones —
-  the hypothesis battery samples schedules adversarially.
+  in seeded-random interleaved batches of seeded-random sizes, every
+  request passing the server's :class:`~repro.service.readcache.ReadCache`
+  on its way to the shard.  Any such schedule preserves per-world order
+  (worlds never migrate between shards), so the resulting snapshots must be
+  byte-identical to the serial ones — the hypothesis battery samples
+  schedules adversarially.
 
 Both return ``{world_id: canonical snapshot JSON string}`` so comparisons
 are literal string equality on :func:`repro.io.results.results_to_json`
@@ -28,6 +30,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.io.results import results_to_json
 from repro.service import fleet, protocol
+from repro.service.readcache import SNAPSHOT_CACHE_MAX_ENTRIES, Miss, ReadCache
 from repro.service.sharding import HashRing
 from repro.service.storage.base import WorldStore
 from repro.service.subs.mirror import WorldMirror
@@ -81,6 +84,11 @@ class ShardedReplayer:
     store.  The kill-and-recover battery interleaves ``execute`` segments
     with ``crash`` calls at hypothesis-chosen points and requires the final
     snapshots to match :func:`replay_serial` byte for byte.
+
+    Reads pass the same :class:`~repro.service.readcache.ReadCache` the
+    server front end uses (capacity 0 when ``naive``): a hit never reaches
+    the host, a miss fills from the host's response, and :meth:`crash` and
+    :meth:`resize` clear it as a worker restart or a ring change does.
     """
 
     def __init__(
@@ -101,6 +109,7 @@ class ShardedReplayer:
             store_factory(shard) if store_factory is not None else None for shard in range(shards)
         ]
         self.hosts = [self._build_host(shard) for shard in range(shards)]
+        self.read_cache = ReadCache(0 if naive else SNAPSHOT_CACHE_MAX_ENTRIES)
         #: In-process subscription mirrors (see :meth:`attach_mirror`).
         self.mirrors: Dict[str, WorldMirror] = {}
 
@@ -124,6 +133,7 @@ class ShardedReplayer:
         # No close(), no flush: a killed worker's in-memory state simply
         # vanishes, and only what commit_batch persisted survives.
         self.hosts[shard] = self._build_host(shard)
+        self.read_cache.clear()
         return self.hosts[shard].recover(use_checkpoints=use_checkpoints)
 
     def resize(self, new_shards: int) -> int:
@@ -169,6 +179,7 @@ class ShardedReplayer:
         del self.hosts[new_shards:]
         del self._stores[new_shards:]
         self.ring = new_ring
+        self.read_cache.clear()
         # Trackers ride the migration; fetch anything committed on the old
         # owner that no per-batch collect picked up before the move.
         self.collect_all_frames()
@@ -187,7 +198,7 @@ class ShardedReplayer:
         each batch is — the degrees of freedom the real server's
         load-dependent batching exercises.  Per-shard queues are strictly
         FIFO, exactly like the server's pending queues.  Returns the number
-        of requests that reached a shard.
+        of requests routed to a shard, read-cache hits included.
         """
         if max_batch < 1:
             raise ValueError("max_batch must be positive")
@@ -207,9 +218,32 @@ class ShardedReplayer:
                 return routed
             shard = rng.choice(nonempty)
             size = rng.randint(1, min(max_batch, len(queues[shard])))
-            batch = [queues[shard].popleft() for _ in range(size)]
-            responses = self.hosts[shard].execute_batch(batch)
-            self._collect_frames(shard, batch, responses)
+            self._dispatch(shard, [queues[shard].popleft() for _ in range(size)])
+
+    def _dispatch(self, shard: int, batch: List[Dict[str, Any]]) -> None:
+        """Route one dequeued batch through the read cache, run the rest.
+
+        Routing at dequeue time is a valid server schedule: a world lives
+        on one shard, its queue is FIFO and one batch is in flight, so the
+        whole batch is routed before any of its responses lands, exactly as
+        on the server.
+        """
+        sent: List[Dict[str, Any]] = []
+        misses: List[Optional[Miss]] = []
+        for request in batch:
+            # A malformed envelope never reaches the server's router; the
+            # host answers it with the same error.
+            routed = None if protocol.envelope_problem(request) else self.read_cache.route(request)
+            if not isinstance(routed, bytes):
+                sent.append(request)
+                misses.append(routed)
+        if not sent:
+            return
+        responses = self.hosts[shard].execute_batch(sent)
+        for miss, response in zip(misses, responses):
+            if miss is not None:
+                self.read_cache.fill(miss, response)
+        self._collect_frames(shard, sent, responses)
 
     def _execute_on(self, shard: int, request: Dict[str, Any]) -> Dict[str, Any]:
         return self.hosts[shard].execute(request)

@@ -115,12 +115,12 @@ from repro.obs.metrics import (
 )
 from repro.service import fleet, protocol
 from repro.service.faults import FaultInjector, FaultPlan
-from repro.service.readcache import ReadCache
+from repro.service.readcache import SNAPSHOT_CACHE_MAX_ENTRIES, ReadCache
 from repro.service.sharding import HashRing
 from repro.service.storage import StoreConfig, scan_world_ids
 from repro.service.subs.manager import SubscriptionManager
 from repro.service.workers import InlineShardPool, ProcessShardPool
-from repro.service.worlds import DEFAULT_SNAPSHOT_EVERY, SNAPSHOT_CACHE_MAX_ENTRIES
+from repro.service.worlds import DEFAULT_SNAPSHOT_EVERY
 
 #: Default per-shard pending-queue bound (the high watermark).  Deep
 #: enough that a healthy fleet never sheds, shallow enough that a frozen
@@ -533,13 +533,9 @@ class FleetServer:
             self.metrics.counter("server.resize.parked_requests").inc()
             return future
         op = request["op"]
-        if op in protocol.READ_OPS:
-            key = protocol.read_key(op, request.get("params", {}))
-            result = self.read_cache.lookup(world, key)
-            if result is not None:
-                return self._resolved(protocol.ok_line(request_id, result))
-        elif op != protocol.CACHE_STATS:
-            self.read_cache.invalidate(world)
+        cached = self.read_cache.route(request)
+        if isinstance(cached, bytes):
+            return self._resolved(protocol.ok_line(request_id, cached))
         shard = self.ring.shard_of(world)
         pending = self._pending[shard]
         if self._shedding[shard] and len(pending) <= self.max_pending // 2:
@@ -550,17 +546,18 @@ class FleetServer:
             self.metrics.counter("server.load_shed").inc()
             self.metrics.counter(f"server.shard.{shard}.load_shed").inc()
             hint = min(2.0, max(0.05, (len(pending) + 1) * self._avg_request_seconds))
-            return self._resolved(
-                protocol.error_response(
-                    request_id,
-                    f"shard {shard} queue is saturated ({len(pending)} pending)",
-                    code=protocol.RETRY_LATER,
-                    retry_after=round(hint, 4),
-                )
+            shed = protocol.error_response(
+                request_id,
+                f"shard {shard} queue is saturated ({len(pending)} pending)",
+                code=protocol.RETRY_LATER,
+                retry_after=round(hint, 4),
             )
+            if cached is not None:
+                self.read_cache.fill(cached, shed)  # drops a table the miss opened
+            return self._resolved(shed)
         future = self._enqueue(shard, request)
-        if op in protocol.READ_OPS:
-            return self.read_cache.watch(world, key, request_id, future)
+        if cached is not None:
+            return self.read_cache.watch(cached, request_id, future)
         # Placement is maintained here, at routing time, with the routed
         # shard captured — a resize computes its moving set from this map,
         # so a create must be visible the moment it is queued, not when its

@@ -2,29 +2,26 @@
 
 A :class:`World` is one hosted deployment: a live
 :class:`~repro.net.network.Network` bootstrapped from a catalogue
-:class:`~repro.scenarios.spec.ScenarioSpec`, the
+:class:`~repro.scenarios.spec.ScenarioSpec` and the
 :class:`~repro.core.reconfiguration.ReconfigurationManager` maintaining its
-per-node CBTC states, a :class:`~repro.graphs.routing.SourceRouteCache` for
-routing queries, and a **snapshot cache** of read responses.
+per-node CBTC states.
 
-The write path rides PR 4's dirty-set machinery end to end: mobility steps
-and churn deltas mark node IDs dirty through the network's watcher hooks;
-the next read synchronizes the manager (one shared geometry pass) and
-splices the delta into the previous topology through the
+The write path rides the dirty-set machinery end to end: mobility steps and
+churn deltas mark node IDs dirty through the network's watcher hooks; the
+next read synchronizes the manager (one shared geometry pass) and splices
+the delta into the previous topology through the
 :class:`~repro.core.incremental.IncrementalTopologyBuilder` instead of
-rebuilding.  Read responses are cached keyed by the canonical
-:func:`repro.io.results.results_to_json` serialization of their request
-parameters and invalidated through a dirty listener registered on the
-network — the *same* hook feeding the manager and the derived-data cache —
-so a write that changes nothing (an ``advance`` of a stationary world)
-leaves every cached response valid.
+rebuilding.  The manager memoizes that topology, so repeat reads of a clean
+world skip the pipeline; the read result itself is computed afresh on every
+read.  A world caches no results: repeat reads are answered in front of the
+shards by the one read-result cache, :mod:`repro.service.readcache`.
 
 ``naive=True`` builds the serving baseline the benchmarks compare against:
-no snapshot cache, no route cache, and a full from-scratch
-:func:`~repro.core.pipeline.build_topology` on **every** request — the
-one-request-one-rebuild server a straightforward implementation would be.
-Both modes produce byte-identical responses (the incremental pipeline is an
-optimization, not an approximation), which the service test suite asserts.
+a full from-scratch :func:`~repro.core.pipeline.build_topology` on
+**every** request — the one-request-one-rebuild server a straightforward
+implementation would be.  Both modes produce byte-identical responses (the
+incremental pipeline is an optimization, not an approximation), which the
+service test suite asserts.
 
 :class:`WorldHost` owns many worlds and executes protocol requests against
 them.  It is deliberately synchronous and transport-free: the asyncio front
@@ -50,11 +47,11 @@ from repro.core.reconfiguration import ReconfigurationManager
 from repro.core.topology import TopologyResult
 from repro.geometry import Point
 from repro.core.analysis import preserves_max_power_connectivity
-from repro.graphs.routing import SourceRouteCache, canonical_single_source_paths
+from repro.graphs.routing import canonical_single_source_paths, link_weights
 from repro.io.graphs import graph_to_dict
 from repro.io.results import canonical_json
 from repro.net.network import Network
-from repro.net.node import Node, NodeId
+from repro.net.node import Node
 from repro.obs.metrics import COUNT_BUCKETS, Histogram, MetricsRegistry
 from repro.obs.trace import get_tracer, timed
 from repro.scenarios.catalogue import get_scenario
@@ -77,14 +74,6 @@ import networkx as nx
 #: Default catalogue scenario for worlds created without an explicit one.
 DEFAULT_SCENARIO = "random-waypoint-drift"
 
-#: Per-world snapshot-cache entry bound.  Long-lived quiescent worlds can
-#: otherwise accumulate one entry per distinct read parameterization
-#: (O(n^2) route pairs, unbounded traffic seeds) between writes; when the
-#: bound is hit the oldest-stored entry is evicted (insertion order — a
-#: deterministic policy, so replays agree on cache *contents* too, though
-#: results never depend on it).
-SNAPSHOT_CACHE_MAX_ENTRIES = 1024
-
 #: Default checkpoint cadence: a durable host checkpoints a world after
 #: every this-many applied write ops (``cbtc serve --snapshot-every``).
 DEFAULT_SNAPSHOT_EVERY = 16
@@ -93,6 +82,10 @@ DEFAULT_SNAPSHOT_EVERY = 16
 #: its original token is answered from here instead of being applied
 #: twice; the bound only has to outlive the retry window, not history.
 TOKEN_CACHE_MAX_ENTRIES = 256
+
+#: Result caches worlds pickled by older versions carried; a rehydrated
+#: world drops them so they never ride its next checkpoint.
+_RETIRED_STATE = ("_snapshot_cache", "_route_cache", "_adjacency", "cache_hits", "cache_misses")
 
 #: The ops a write-ahead log holds (besides sync markers); log replay
 #: re-executes exactly these and rejects anything else as corruption.
@@ -146,20 +139,15 @@ class World:
             self.network, spec.alpha, angle_threshold=spec.angle_threshold
         )
         self._config = spec.optimizations.config()
-        self._route_cache: Optional[SourceRouteCache] = None if naive else SourceRouteCache()
-        self._snapshot_cache: Dict[str, Any] = {}
-        self._adjacency: Optional[Dict[NodeId, Dict[NodeId, float]]] = None
         # The durable host's write-ahead hook: called right before a read
         # triggers a synchronize, so the WAL records the sync point (never
         # pickled — see __getstate__ — the listener closes over the host).
         self._sync_listener: Optional[Callable[[], None]] = None
-        # The invalidation feed: every node move/crash/recover/add/remove
+        # The reconcile feed: every node move/crash/recover/add/remove
         # lands this world's ID set — the same hook the manager and the
         # derived-data cache consume.
         self._dirty = self.network.register_dirty_listener()
         self.writes_applied = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
         # Idempotency tokens of writes already applied to this world, with
         # the results they produced.  Lives on the world (not the host) so
         # it rides checkpoints, eviction pickles, and migration blobs — a
@@ -209,9 +197,12 @@ class World:
     def __setstate__(self, state: Dict[str, Any]) -> None:
         # Checkpoints written before idempotency tokens (or diff tracking)
         # existed lack the attributes; default them so old state dirs
-        # rehydrate cleanly.
+        # rehydrate cleanly.  Older ones also carry result caches a world
+        # no longer keeps.
         state.setdefault("applied_tokens", OrderedDict())
         state.setdefault("_tracker", None)
+        for key in _RETIRED_STATE:
+            state.pop(key, None)
         self.__dict__.update(state)
 
     def remember_token(self, token: str, result: Any) -> None:
@@ -251,57 +242,18 @@ class World:
         rebuilds from scratch on every request, bypassing the manager's memo
         on purpose (the one-request-one-rebuild baseline).
         """
+        if self._dirty:
+            self._notify_sync()
+            self.manager.synchronize(max_iterations=self.spec.sync_max_iterations)
+            self._dirty.clear()
         if self.naive:
-            if self._dirty:
-                self._notify_sync()
-                self.manager.synchronize(max_iterations=self.spec.sync_max_iterations)
-                self._dirty.clear()
-            self._adjacency = None
             return build_topology(
                 self.network,
                 self.spec.alpha,
                 config=self._config,
                 outcome=self.manager.outcome,
             )
-        if self._dirty:
-            self._notify_sync()
-            self.manager.synchronize(max_iterations=self.spec.sync_max_iterations)
-            self._snapshot_cache.clear()
-            self._adjacency = None
-            self._dirty.clear()
         return self.manager.topology(config=self._config, incremental=True)
-
-    def _power_adjacency(self, graph: nx.Graph) -> Dict[NodeId, Dict[NodeId, float]]:
-        """Min-power weighted adjacency of the current topology (memoized)."""
-        if self._adjacency is None or self.naive:
-            adjacency: Dict[NodeId, Dict[NodeId, float]] = {node: {} for node in graph.nodes}
-            for u, v in graph.edges:
-                weight = self.network.required_power(u, v)
-                adjacency[u][v] = weight
-                adjacency[v][u] = weight
-            self._adjacency = adjacency
-        return self._adjacency
-
-    def _cached(self, op: str, params: Dict[str, Any], compute) -> Any:
-        """Serve a read from the snapshot cache, or compute and remember it.
-
-        ``_refresh`` ran first, so a surviving entry is valid by the dirty-
-        listener argument: no node changed since it was stored.
-        """
-        if self.naive:
-            return compute()
-        key = protocol.read_key(op, params)
-        if key in self._snapshot_cache:
-            self.cache_hits += 1
-            # Hand out a copy, never the stored value: a caller mutating a
-            # response it received must not corrupt what later hits see.
-            return copy.deepcopy(self._snapshot_cache[key])
-        self.cache_misses += 1
-        value = compute()
-        if len(self._snapshot_cache) >= SNAPSHOT_CACHE_MAX_ENTRIES:
-            self._snapshot_cache.pop(next(iter(self._snapshot_cache)))
-        self._snapshot_cache[key] = value
-        return copy.deepcopy(value)
 
     # ------------------------------------------------------------------ #
     # Writes
@@ -390,8 +342,8 @@ class World:
         """The epoch-commit hook: diff the post-write snapshot into the ring.
 
         Called after every applied write on a tracked world.  Rides the
-        same dirty-listener machinery as the snapshot cache: the write
-        marked the world dirty, the snapshot read reconciles and rebuilds
+        dirty-listener machinery of every read: the write marked the world
+        dirty, the snapshot read reconciles and rebuilds
         (incrementally, on the cached path), and the tracker diffs the new
         canonical snapshot against the previous sequence point.  Returns
         the new ring entry, or ``None`` when untracked or unchanged.
@@ -406,25 +358,21 @@ class World:
     def stats(self, params: Dict[str, Any]) -> Dict[str, Any]:
         """Topology statistics over the current controlled topology."""
         topology = self._refresh()
-
-        def compute() -> Dict[str, Any]:
-            graph = topology.graph
-            radii = sorted(topology.node_radius.values())
-            return {
-                "world": self.world_id,
-                "alive_nodes": len(self.network.alive_nodes()),
-                "edge_count": graph.number_of_edges(),
-                "average_degree": topology.average_degree(),
-                "average_radius": sum(radii) / len(radii) if radii else 0.0,
-                "max_radius": max(radii) if radii else 0.0,
-                "components": (
-                    nx.number_connected_components(graph) if graph.number_of_nodes() else 0
-                ),
-                "total_power": sum(p for _, p in sorted(topology.node_power.items())),
-                "connectivity_preserved": preserves_max_power_connectivity(self.network, graph),
-            }
-
-        return self._cached(protocol.QUERY_STATS, params, compute)
+        graph = topology.graph
+        radii = sorted(topology.node_radius.values())
+        return {
+            "world": self.world_id,
+            "alive_nodes": len(self.network.alive_nodes()),
+            "edge_count": graph.number_of_edges(),
+            "average_degree": topology.average_degree(),
+            "average_radius": sum(radii) / len(radii) if radii else 0.0,
+            "max_radius": max(radii) if radii else 0.0,
+            "components": (
+                nx.number_connected_components(graph) if graph.number_of_nodes() else 0
+            ),
+            "total_power": sum(p for _, p in sorted(topology.node_power.items())),
+            "connectivity_preserved": preserves_max_power_connectivity(self.network, graph),
+        }
 
     def route(self, params: Dict[str, Any]) -> Dict[str, Any]:
         """The canonical minimum-power route between two nodes."""
@@ -432,32 +380,19 @@ class World:
         target = params.get("target")
         _require_int(source, "'source' and 'target' must be node IDs")
         _require_int(target, "'source' and 'target' must be node IDs")
-        topology = self._refresh()
-
-        def compute() -> Dict[str, Any]:
-            adjacency = self._power_adjacency(topology.graph)
-            if source not in adjacency or target not in adjacency:
-                return {"world": self.world_id, "source": source, "target": target, "reachable": False}
-            if self._route_cache is not None:
-                self._route_cache.sync(adjacency)
-                paths = self._route_cache.paths(source)
-            else:
-                paths = canonical_single_source_paths(adjacency, source)
-            path = paths.get(target)
-            if path is None:
-                return {"world": self.world_id, "source": source, "target": target, "reachable": False}
-            cost = sum(adjacency[u][v] for u, v in zip(path, path[1:]))
-            return {
-                "world": self.world_id,
-                "source": source,
-                "target": target,
-                "reachable": True,
-                "path": list(path),
-                "hops": len(path) - 1,
-                "cost": cost,
-            }
-
-        return self._cached(protocol.QUERY_ROUTE, params, compute)
+        adjacency = link_weights(self.network, self._refresh().graph)
+        path = canonical_single_source_paths(adjacency, source).get(target)
+        if path is None:
+            return {"world": self.world_id, "source": source, "target": target, "reachable": False}
+        return {
+            "world": self.world_id,
+            "source": source,
+            "target": target,
+            "reachable": True,
+            "path": list(path),
+            "hops": len(path) - 1,
+            "cost": sum(adjacency[u][v] for u, v in zip(path, path[1:])),
+        }
 
     def traffic(self, params: Dict[str, Any]) -> Dict[str, Any]:
         """Run a packet-level burst over the current topology; report metrics.
@@ -467,67 +402,48 @@ class World:
         default infinite battery keeps the run side-effect free, so the
         response is cacheable like any other read.
         """
-        flows = params.get("flows", 4)
-        packets = params.get("packets", 3)
-        request_seed = params.get("seed", 0)
-        kind = params.get("kind", "cbr")
-        interference = bool(params.get("interference", False))
         topology = self._refresh()
-
-        def compute() -> Dict[str, Any]:
-            try:
-                tspec = TrafficSpec(
-                    kind=kind,
-                    flow_count=flows,
-                    packets_per_flow=packets,
-                    routing=MIN_POWER,
-                    interference=interference,
-                )
-            except (ValueError, TypeError) as error:
-                raise RequestError(str(error)) from None
-            run_seed = derive_seed(self.seed, f"service-traffic:{request_seed}")
-            run = run_traffic(
-                self.network,
-                topology.graph,
-                tspec,
-                run_seed,
-                route_cache=self._route_cache,
+        try:
+            tspec = TrafficSpec(
+                kind=params.get("kind", "cbr"),
+                flow_count=params.get("flows", 4),
+                packets_per_flow=params.get("packets", 3),
+                routing=MIN_POWER,
+                interference=bool(params.get("interference", False)),
             )
-            report = json.loads(canonical_json(run.report))
-            report["world"] = self.world_id
-            return report
-
-        return self._cached(protocol.RUN_TRAFFIC, params, compute)
+        except (ValueError, TypeError) as error:
+            raise RequestError(str(error)) from None
+        run_seed = derive_seed(self.seed, f"service-traffic:{params.get('seed', 0)}")
+        run = run_traffic(self.network, topology.graph, tspec, run_seed)
+        report = json.loads(canonical_json(run.report))
+        report["world"] = self.world_id
+        return report
 
     def snapshot(self, params: Dict[str, Any]) -> Dict[str, Any]:
         """The canonical byte-comparable serialization of this world.
 
         Covers exactly the replay-relevant state — node positions/liveness
         and the controlled topology, both in the canonical sorted form of
-        :mod:`repro.io` — and none of the serving metadata (cache counters,
-        batch shapes), so serial and sharded replays of one request trace
-        must agree on every byte.
+        :mod:`repro.io` — and none of the serving metadata (counters, batch
+        shapes), so serial and sharded replays of one request trace must
+        agree on every byte.
         """
         topology = self._refresh()
-
-        def compute() -> Dict[str, Any]:
-            return {
-                "world": self.world_id,
-                "scenario": self.spec.name,
-                "seed": self.seed,
-                "nodes": [
-                    {
-                        "id": node.node_id,
-                        "x": node.position.x,
-                        "y": node.position.y,
-                        "alive": node.alive,
-                    }
-                    for node in self.network.nodes
-                ],
-                "topology": graph_to_dict(topology.graph),
-            }
-
-        return self._cached(protocol.SNAPSHOT, params, compute)
+        return {
+            "world": self.world_id,
+            "scenario": self.spec.name,
+            "seed": self.seed,
+            "nodes": [
+                {
+                    "id": node.node_id,
+                    "x": node.position.x,
+                    "y": node.position.y,
+                    "alive": node.alive,
+                }
+                for node in self.network.nodes
+            ],
+            "topology": graph_to_dict(topology.graph),
+        }
 
     def cache_stats(self) -> Dict[str, Any]:
         """Serving-layer counters (never cached — they change on every read)."""
@@ -535,11 +451,6 @@ class World:
             "world": self.world_id,
             "naive": self.naive,
             "writes": self.writes_applied,
-            "snapshot_cache_entries": len(self._snapshot_cache),
-            "snapshot_cache_hits": self.cache_hits,
-            "snapshot_cache_misses": self.cache_misses,
-            "route_cache_hits": self._route_cache.hits if self._route_cache else 0,
-            "route_cache_misses": self._route_cache.misses if self._route_cache else 0,
             "topology_builds": self.manager.topology_builds,
             "incremental_updates": self.manager.incremental_updates,
             "topology_memo_hits": self.manager.memo_hits,
@@ -1159,10 +1070,6 @@ class WorldHost:
             "host.rehydrations": self.rehydrations,
         }
         sums = {
-            "cache.snapshot.hits": 0,
-            "cache.snapshot.misses": 0,
-            "cache.route.hits": 0,
-            "cache.route.misses": 0,
             "cache.derived.hits": 0,
             "cache.derived.misses": 0,
             "spatial.neighbor_queries": 0,
@@ -1178,11 +1085,6 @@ class WorldHost:
         for world in self.worlds.values():
             if world._tracker is not None:
                 sums["subs.tracked"] += 1
-            sums["cache.snapshot.hits"] += world.cache_hits
-            sums["cache.snapshot.misses"] += world.cache_misses
-            if world._route_cache is not None:
-                sums["cache.route.hits"] += world._route_cache.hits
-                sums["cache.route.misses"] += world._route_cache.misses
             derived = world.network.derived_cache
             sums["cache.derived.hits"] += derived.hits
             sums["cache.derived.misses"] += derived.misses

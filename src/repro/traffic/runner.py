@@ -29,7 +29,11 @@ from typing import Dict, Optional, Tuple
 
 import networkx as nx
 
-from repro.graphs.routing import SourceRouteCache, canonical_single_source_paths
+from repro.graphs.routing import (
+    SourceRouteCache,
+    canonical_single_source_paths,
+    link_weights,
+)
 from repro.net.energy import EnergyLedger
 from repro.net.network import Network
 from repro.net.node import NodeId
@@ -81,11 +85,7 @@ def build_routing_plan(
     :class:`~repro.graphs.routing.SourceRouteCache`), with no effect on the
     resulting plan.
     """
-    adjacency: Dict[NodeId, Dict[NodeId, float]] = {node: {} for node in graph.nodes}
-    for u, v in graph.edges:
-        weight = 1.0 if routing == MIN_HOP else network.required_power(u, v)
-        adjacency[u][v] = weight
-        adjacency[v][u] = weight
+    adjacency = link_weights(network, graph, min_hop=routing == MIN_HOP)
     if route_cache is not None:
         route_cache.sync(adjacency)
 

@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 from repro.io.results import results_to_json
 from repro.service import faults as faultlib
-from repro.service import protocol
+from repro.service import loadgen, protocol
 from repro.service.faults import FaultPlan, FaultRule
-from repro.service.readcache import ReadCache
-from repro.service.replay import replay_serial
+from repro.service.readcache import Miss, ReadCache
+from repro.service.replay import ShardedReplayer, replay_serial
 from repro.service.server import FleetServer
 from repro.service.worlds import WorldHost
 
@@ -118,14 +118,22 @@ class TestSplice:
 # Invalidation, unit level
 # --------------------------------------------------------------------- #
 class TestReadCacheUnit:
-    def _fill(self, cache, world, key, response, before_landing=None):
-        """Route a read, land ``response``; what its responder is handed."""
+    @staticmethod
+    def _get(name, world="w"):
+        return {"op": protocol.SNAPSHOT, "world": world, "params": {"name": name}}
+
+    @staticmethod
+    def _write(world="w"):
+        return {"op": protocol.ADVANCE, "world": world, "params": {}}
+
+    def _fill(self, cache, request, response):
+        """Route a read through the server's glue, land ``response``; what
+        its responder is handed."""
+        miss = cache.route(request)
         loop = asyncio.new_event_loop()
         try:
             routed = loop.create_future()
-            answered = cache.watch(world, key, response["id"], routed)
-            if before_landing is not None:
-                before_landing()
+            answered = cache.watch(miss, response["id"], routed)
             routed.set_result(response)
             loop.run_until_complete(asyncio.sleep(0))  # run the done-callbacks
             return answered.result()
@@ -134,48 +142,67 @@ class TestReadCacheUnit:
 
     def test_fill_then_hit(self):
         cache = ReadCache(4)
-        assert cache.lookup("w", "k") is None
         response = protocol.ok_response(1, {"x": 1})
         # The miss's own line is spliced from the bytes it cached.
-        assert self._fill(cache, "w", "k", response) == protocol.encode_message(response)
-        assert cache.lookup("w", "k") == b'{"x":1}'
+        assert self._fill(cache, self._get("k"), response) == protocol.encode_message(response)
+        assert cache.route(self._get("k")) == b'{"x":1}'
         assert (cache.hits, cache.misses, cache.entries) == (1, 1, 1)
 
     def test_write_routed_while_read_in_flight_keeps_it_uncached(self):
         cache = ReadCache(4)
-        self._fill(
-            cache, "w", "k", protocol.ok_response(1, {"x": 1}),
-            before_landing=lambda: cache.invalidate("w"),
-        )
-        assert cache.lookup("w", "k") is None
+        miss = cache.route(self._get("k"))
+        assert cache.route(self._write()) is None
+        assert cache.fill(miss, protocol.ok_response(1, {"x": 1})) == b'{"x":1}'
+        assert isinstance(cache.route(self._get("k")), Miss)
         assert cache.entries == 0
 
     def test_clear_while_read_in_flight_keeps_it_uncached(self):
         cache = ReadCache(4)
-        self._fill(cache, "w", "k", protocol.ok_response(1, 1), before_landing=cache.clear)
-        assert cache.lookup("w", "k") is None
+        miss = cache.route(self._get("k"))
+        cache.clear()
+        cache.fill(miss, protocol.ok_response(1, 1))
+        assert isinstance(cache.route(self._get("k")), Miss)
+
+    def test_cache_stats_neither_hits_nor_invalidates(self):
+        cache = ReadCache(4)
+        cache.fill(cache.route(self._get("k")), protocol.ok_response(1, 1))
+        stats = {"op": protocol.CACHE_STATS, "world": "w", "params": {}}
+        assert cache.route(stats) is None
+        assert cache.route(self._get("k")) == b"1"
+        assert (cache.hits, cache.misses) == (1, 1)
 
     def test_errors_are_not_cached_and_leave_no_table(self):
         cache = ReadCache(4)
         error = protocol.error_response(1, "unknown world 'ghost'")
-        assert self._fill(cache, "ghost", "k", error) == error
-        assert cache.lookup("ghost", "k") is None
+        assert self._fill(cache, self._get("k", world="ghost"), error) == error
         assert cache._tables == {}
+        assert isinstance(cache.route(self._get("k", world="ghost")), Miss)
 
     def test_bound_drops_oldest_entry(self):
         cache = ReadCache(2)
         for key in ("a", "b", "c"):
-            self._fill(cache, "w", key, protocol.ok_response(None, key))
+            cache.fill(cache.route(self._get(key)), protocol.ok_response(None, key))
         assert cache.entries == 2
-        assert cache.lookup("w", "a") is None
-        assert cache.lookup("w", "c") == b'"c"'
+        assert isinstance(cache.route(self._get("a")), Miss)
+        assert cache.route(self._get("c")) == b'"c"'
+
+    def test_refill_of_a_present_key_replaces_it_in_place(self):
+        """Two identical reads in flight both miss; the second fill finds
+        its key present in a full table and must not evict another entry."""
+        cache = ReadCache(2)
+        cache.fill(cache.route(self._get("a")), protocol.ok_response(None, "a"))
+        first, second = cache.route(self._get("b")), cache.route(self._get("b"))
+        cache.fill(first, protocol.ok_response(None, "b"))
+        cache.fill(second, protocol.ok_response(None, "b"))
+        assert cache.entries == 2
+        assert cache.route(self._get("a")) == b'"a"'
+        assert cache.route(self._get("b")) == b'"b"'
 
     def test_zero_capacity_never_fills(self):
         cache = ReadCache(0)
-        response = protocol.ok_response(1, {"x": 1})
-        assert self._fill(cache, "w", "k", response) == response
-        assert cache.lookup("w", "k") is None
-        assert cache.entries == 0
+        assert cache.route(self._get("k")) is None
+        assert cache.route(self._get("k")) is None
+        assert (cache.hits, cache.misses, cache.entries) == (0, 2, 0)
 
 
 # --------------------------------------------------------------------- #
@@ -381,3 +408,85 @@ class TestServedBytes:
             run(_with_server(body))
         finally:
             host.close()
+
+
+# --------------------------------------------------------------------- #
+# The in-process engine reads through the same cache
+# --------------------------------------------------------------------- #
+class TestReplayer:
+    @staticmethod
+    def _recording(replayer, shard=0):
+        """The requests that reach ``shard``'s host from now on."""
+        host = replayer.hosts[shard]
+        seen = []
+        execute_batch = host.execute_batch
+
+        def recording(requests, **kwargs):
+            seen.extend(requests)
+            return execute_batch(requests, **kwargs)
+
+        host.execute_batch = recording
+        return seen
+
+    def test_serving_trace_hits_and_matches_the_serial_replay(self):
+        """The engine benchmark's 8-world serving trace: repeat reads are
+        answered by the cache at dequeue time, and the worlds end exactly
+        where a serial replay leaves them."""
+        config = loadgen.LoadConfig(
+            worlds=8, requests_per_world=30, nodes=100, connections=16,
+            mover_fraction=0.05, write_fraction=0.05, seed=0,
+        )
+        traces = loadgen.build_trace(config)
+        creates = [trace[0] for trace in traces]
+        workload = loadgen.flatten_trace([trace[1:] for trace in traces])
+        replayer = ShardedReplayer(4)
+        try:
+            replayer.execute(creates, schedule_seed=0)
+            assert replayer.execute(workload, schedule_seed=1) == len(workload)
+            assert replayer.read_cache.hits > 0
+            assert replayer.snapshots() == replay_serial(creates + workload)
+        finally:
+            replayer.close()
+
+    def test_read_write_read_in_one_batch_reaches_the_host_twice(self):
+        read = _read(protocol.QUERY_ROUTE, "w", source=0, target=9)
+        move = {"op": protocol.APPLY, "world": "w", "params": {"moves": [[9, 10.0, 10.0]]}}
+        replayer = ShardedReplayer(1)
+        try:
+            replayer.execute([_create("w", seed=4)])
+            seen = self._recording(replayer)
+            replayer._dispatch(0, [read, move, read])
+            assert seen == [read, move, read]
+            # The second read filled the cache with the post-write answer.
+            fresh = replayer.hosts[0].execute(read)["result"]
+            assert replayer.read_cache.route(read) == protocol.encode_result(fresh)
+            # A read routed before a write in its batch fills nothing: the
+            # next read must reach the host, not replay pre-write bytes.
+            del seen[:]
+            replayer._dispatch(0, [move])
+            replayer._dispatch(0, [read, move])
+            replayer._dispatch(0, [read])
+            assert seen == [move, read, move, read]
+        finally:
+            replayer.close()
+
+    def test_crash_and_resize_empty_the_cache(self):
+        from repro.service.storage import MemoryStore
+
+        worlds = [f"c{i}" for i in range(6)]
+        reads = [_read(protocol.SNAPSHOT, world) for world in worlds]
+        trace = [_create(world, seed=i) for i, world in enumerate(worlds)] + reads
+        replayer = ShardedReplayer(2, store_factory=lambda shard: MemoryStore())
+        try:
+            replayer.execute(trace)
+            assert replayer.read_cache.entries == len(worlds)
+            replayer.crash(0)
+            assert replayer.read_cache.entries == 0
+            replayer.execute(reads)
+            assert replayer.read_cache.entries == len(worlds)
+            assert replayer.resize(3) > 0
+            assert replayer.read_cache.entries == 0
+            replayer.execute(reads + reads)
+            assert replayer.snapshots() == replay_serial(trace)
+        finally:
+            replayer.close()

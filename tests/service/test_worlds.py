@@ -1,4 +1,4 @@
-"""World hosting: request execution, snapshot caching, dirty invalidation."""
+"""World hosting: request execution, the read path, dirty invalidation."""
 
 import pytest
 
@@ -205,54 +205,8 @@ class TestWrites:
 
 
 class TestSnapshotCache:
-    def test_repeated_reads_hit_the_cache(self, host):
-        _create(host)
-        host.execute(_request(protocol.QUERY_STATS))
-        host.execute(_request(protocol.QUERY_STATS))
-        host.execute(_request(protocol.QUERY_STATS))
-        stats = host.execute(_request(protocol.CACHE_STATS))["result"]
-        assert stats["snapshot_cache_hits"] == 2
-        assert stats["snapshot_cache_misses"] == 1
-
-    def test_distinct_params_are_distinct_entries(self, host):
-        _create(host)
-        host.execute(_request(protocol.QUERY_ROUTE, source=0, target=1))
-        host.execute(_request(protocol.QUERY_ROUTE, source=0, target=2))
-        stats = host.execute(_request(protocol.CACHE_STATS))["result"]
-        assert stats["snapshot_cache_misses"] == 2
-        assert stats["snapshot_cache_hits"] == 0
-
-    def test_geometry_change_invalidates(self, host):
-        _create(host)
-        host.execute(_request(protocol.QUERY_STATS))
-        host.execute(_request(protocol.APPLY, moves=[[0, 5.0, 5.0]]))
-        host.execute(_request(protocol.QUERY_STATS))
-        stats = host.execute(_request(protocol.CACHE_STATS))["result"]
-        assert stats["snapshot_cache_misses"] == 2
-        assert stats["snapshot_cache_hits"] == 0
-
-    def test_no_op_write_keeps_the_cache(self, host):
-        """The dirty-listener hook, not the write counter, drives invalidation."""
-        _create(host)
-        host.execute(_request(protocol.QUERY_STATS))
-        host.execute(_request(protocol.ADVANCE, steps=0))  # touches nothing
-        host.execute(_request(protocol.QUERY_STATS))
-        stats = host.execute(_request(protocol.CACHE_STATS))["result"]
-        assert stats["writes"] == 1
-        assert stats["snapshot_cache_hits"] == 1
-
-    def test_cache_is_bounded(self, host, monkeypatch):
-        from repro.service import worlds as worlds_module
-
-        monkeypatch.setattr(worlds_module, "SNAPSHOT_CACHE_MAX_ENTRIES", 3)
-        _create(host, nodes=20)
-        for target in range(1, 6):
-            host.execute(_request(protocol.QUERY_ROUTE, source=0, target=target))
-        stats = host.execute(_request(protocol.CACHE_STATS))["result"]
-        assert stats["snapshot_cache_entries"] == 3
-        # Evicted entries recompute correctly (a miss, not a wrong answer).
-        route = host.execute(_request(protocol.QUERY_ROUTE, source=0, target=1))["result"]
-        assert route["source"] == 0 and route["target"] == 1
+    """A world caches no read results (the front end's ReadCache does);
+    what repeat reads of a clean world reuse is the manager's topology."""
 
     def test_cached_reads_skip_pipeline_work(self, host):
         _create(host)
@@ -286,15 +240,23 @@ class TestNaiveBaseline:
             cached.close()
             naive.close()
 
-    def test_naive_mode_rebuilds_per_request(self):
+    def test_naive_mode_rebuilds_per_request(self, monkeypatch):
+        from repro.service import worlds as worlds_module
+
         host = WorldHost(naive=True)
         try:
             _create(host)
+            builds = []
+            real_build = worlds_module.build_topology
+
+            def counting_build(*args, **kwargs):
+                builds.append(1)
+                return real_build(*args, **kwargs)
+
+            monkeypatch.setattr(worlds_module, "build_topology", counting_build)
             for _ in range(3):
                 host.execute(_request(protocol.QUERY_STATS))
-            stats = host.execute(_request(protocol.CACHE_STATS))["result"]
-            assert stats["snapshot_cache_hits"] == 0
-            assert stats["snapshot_cache_entries"] == 0
+            assert len(builds) == 3
         finally:
             host.close()
 
@@ -342,9 +304,6 @@ class TestCacheAliasing:
         first.pop("edge_count")
         second = host.execute(_request(protocol.QUERY_STATS))["result"]
         assert results_to_json(second) == pristine
-        # And the first response really was a cache hit's copy, not a rebuild.
-        stats = host.execute(_request(protocol.CACHE_STATS))["result"]
-        assert stats["snapshot_cache_hits"] >= 1
 
 
 class TestFailedCreateCleanup:
@@ -386,3 +345,45 @@ class TestFailedCreateCleanup:
         monkeypatch.setattr(ReconfigurationManager, "synchronize", original_synchronize)
         assert host.execute(_request(protocol.CREATE_WORLD))["ok"]
         host.close()
+
+
+class TestOldCheckpoints:
+    def test_retired_result_caches_are_dropped_on_rehydration(self):
+        """Worlds pickled before the shard-side result caches were deleted
+        carry them in their checkpoints; recovery must drop them, so they
+        never ride the next checkpoint."""
+        import pickle
+
+        from repro.graphs.routing import SourceRouteCache
+        from repro.service.storage import MemoryStore
+
+        retired = ("_snapshot_cache", "_route_cache", "_adjacency", "cache_hits", "cache_misses")
+        store = MemoryStore()
+        host = WorldHost(store=store)
+        _create(host, nodes=20)
+        host.execute(_request(protocol.ADVANCE, steps=2))
+        snapshot = host.execute(_request(protocol.SNAPSHOT))["result"]
+        world = host.worlds["w"]
+        world.__dict__.update(
+            _snapshot_cache={"snapshot:{}": snapshot},
+            _route_cache=SourceRouteCache(),
+            _adjacency={0: {1: 1.0}, 1: {0: 1.0}},
+            cache_hits=3,
+            cache_misses=4,
+        )
+        old_blob = pickle.dumps(world)
+        assert all(key.encode() in old_blob for key in retired)
+        host.close()  # flushes the parent-shaped world as its checkpoint
+
+        recovered = WorldHost(store=store)
+        try:
+            assert recovered.recover() == 1
+            again = recovered.execute(_request(protocol.SNAPSHOT))["result"]
+            assert results_to_json(again) == results_to_json(snapshot)
+            clone = recovered.worlds["w"]
+            assert not set(retired) & set(vars(clone))
+            new_blob = pickle.dumps(clone)
+            assert not any(key.encode() in new_blob for key in retired)
+            assert len(new_blob) < len(old_blob)
+        finally:
+            recovered.close()
