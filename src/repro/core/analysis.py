@@ -9,11 +9,14 @@ These helpers verify, on concrete networks, the properties the paper proves:
   used by the property-based test-suite and the ablation benchmarks;
 * :func:`power_stretch_factor` — the competitive-power metric discussed in
   the introduction: how much more power the best route in the controlled
-  graph needs compared with the best route in ``G_R``.
+  graph needs compared with the best route in ``G_R``;
+* :func:`state_divergence` — how far CBTC states maintained under mobility
+  have drifted from a fresh run with shrink-back on the same positions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, Iterable, Optional, Tuple
@@ -25,6 +28,7 @@ from repro.net.network import Network
 from repro.core.cbtc import run_cbtc
 from repro.core.optimizations import pairwise_edge_removal, shrink_back
 from repro.core.pipeline import OptimizationConfig, build_topology
+from repro.core.state import CBTCOutcome
 from repro.core.topology import symmetric_closure_graph
 
 
@@ -226,3 +230,58 @@ def hop_stretch_factor(network: Network, candidate: nx.Graph) -> float:
                 return float("inf")
             worst = max(worst, cand_hops / ref_hops)
     return worst
+
+
+@dataclass(frozen=True)
+class StateDivergence:
+    """Maintained CBTC states against fresh ``run_cbtc`` + shrink-back.
+
+    Means are over the alive nodes; a node's power is its state's
+    ``power_to_reach_all()``.  ``share_above`` is the share of nodes whose
+    maintained power exceeds their fresh power.
+    """
+
+    mean_records: float
+    fresh_mean_records: float
+    mean_power: float
+    fresh_mean_power: float
+    share_above: float
+
+    @property
+    def power_ratio(self) -> float:
+        """Maintained mean power over fresh mean power (1.0 when both are 0)."""
+        if self.fresh_mean_power == 0.0:
+            return 1.0 if self.mean_power == 0.0 else math.inf
+        return self.mean_power / self.fresh_mean_power
+
+
+def state_divergence(outcome: CBTCOutcome, network: Network) -> StateDivergence:
+    """Compare maintained states with a fresh CBTC run on the current positions.
+
+    The reference is what the paper's static algorithm gives here: CBTC at
+    every alive node followed by shrink-back.  Sums run in node-id order.
+    """
+    fresh = shrink_back(run_cbtc(network, outcome.alpha))
+    nodes = sorted(fresh.states)
+    if not nodes:
+        return StateDivergence(0.0, 0.0, 0.0, 0.0, 0.0)
+    records = fresh_records = above = 0
+    power = fresh_power = 0.0
+    for node in nodes:
+        reference = fresh.states[node]
+        state = outcome.states.get(node)
+        kept = state.power_to_reach_all() if state is not None else 0.0
+        fresh_kept = reference.power_to_reach_all()
+        records += len(state.neighbors) if state is not None else 0
+        fresh_records += len(reference.neighbors)
+        power += kept
+        fresh_power += fresh_kept
+        above += kept > fresh_kept * (1.0 + 1e-9)
+    count = len(nodes)
+    return StateDivergence(
+        mean_records=records / count,
+        fresh_mean_records=fresh_records / count,
+        mean_power=power / count,
+        fresh_mean_power=fresh_power / count,
+        share_above=above / count,
+    )

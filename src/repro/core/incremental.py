@@ -159,12 +159,17 @@ class IncrementalTopologyBuilder:
         self.full_builds += 1
         self._external_outcome = outcome is not None
         network, alpha, config = self.network, self.alpha, self.config
-        raw = outcome if outcome is not None else run_cbtc(network, alpha, schedule=self.schedule)
-        self._raw = raw.copy()
+        if outcome is None:
+            # The builder's own run: nothing else holds it, so later
+            # updates re-run CBTC into it in place.
+            raw = self._raw = run_cbtc(network, alpha, schedule=self.schedule)
+        else:
+            # External states are re-read on every update; no snapshot is kept.
+            raw, self._raw = outcome, None
         if config.shrink_back:
             working = CBTCOutcome(alpha=raw.alpha)
             for state in raw:
-                working.states[state.node_id] = shrink_back_node(state.copy())
+                working.states[state.node_id] = shrink_back_node(state)
         else:
             working = CBTCOutcome(
                 alpha=raw.alpha,
@@ -209,9 +214,7 @@ class IncrementalTopologyBuilder:
                 if config.pairwise_remove_all or self._edge_removable(edge, data["length"]):
                     self._removed.add(edge)
 
-        final = base.copy()
-        if self._removed:
-            final.remove_edges_from(self._removed)
+        final = self._final_graph()
         self._radius = per_node_radius(final, network)
         required_power = network.power_model.required_power
         self._power = {node_id: required_power(r) for node_id, r in self._radius.items()}
@@ -263,6 +266,9 @@ class IncrementalTopologyBuilder:
 
         self.incremental_updates += 1
         base = self._base
+        if self._result.graph is base:
+            # Copy-on-write: the last result still shares the base graph.
+            base = self._base = base.copy()
         working = self._working
 
         # ---- classify the dirty set ---------------------------------- #
@@ -277,8 +283,7 @@ class IncrementalTopologyBuilder:
             if new_raw is None:
                 new_states[d] = None
             else:
-                copy = new_raw.copy()
-                new_states[d] = shrink_back_node(copy) if config.shrink_back else copy
+                new_states[d] = shrink_back_node(new_raw) if config.shrink_back else new_raw.copy()
 
         # ---- pass 1: strip old incident edges and in-neighbor links --- #
         touched_edges: Set[Edge] = set()
@@ -416,15 +421,24 @@ class IncrementalTopologyBuilder:
                 self._positions[d] = network.node(d).position
             else:
                 self._positions.pop(d, None)
-        final = base.copy()
-        if self._removed:
-            final.remove_edges_from(self._removed)
-        self._result = self._materialize(final)
+        self._result = self._materialize(self._final_graph())
         return self._result
 
     # ------------------------------------------------------------------ #
     # Helpers
     # ------------------------------------------------------------------ #
+    def _final_graph(self):
+        """The base graph minus the removed edges.
+
+        With nothing removed the base graph itself is returned, shared with
+        the result until the next splice copies it (copy-on-write).
+        """
+        if not self._removed:
+            return self._base
+        final = self._base.copy()
+        final.remove_edges_from(self._removed)
+        return final
+
     def _longest_non_redundant(self, u: NodeId) -> float:
         """Longest incident edge of ``u`` not marked redundant (0.0 if none)."""
         best = 0.0

@@ -84,12 +84,12 @@ def shrink_back_node(state: NodeState) -> NodeState:
     highest tag, whole groups are removed as long as the alpha-coverage of
     the remaining directions equals the original coverage.  The node's final
     power becomes the power needed to reach the farthest surviving neighbour.
-    Returns a new state whose neighbour mapping keeps the original record
-    order (an empty state is returned as is).
+    Always returns a new state, never ``state`` itself, whose neighbour
+    mapping keeps the original record order (an empty state is copied).
     """
     neighbors = state.neighbors
     if not neighbors:
-        return state
+        return state.copy()
     alpha = state.alpha
     records = neighbors.values()
     levels = sorted({record.discovery_power for record in records})
@@ -180,7 +180,7 @@ def shrink_back(outcome: CBTCOutcome) -> CBTCOutcome:
     """
     shrunk = CBTCOutcome(alpha=outcome.alpha)
     for state in outcome:
-        shrunk.states[state.node_id] = shrink_back_node(state.copy())
+        shrunk.states[state.node_id] = shrink_back_node(state)
     return shrunk
 
 

@@ -349,18 +349,20 @@ class ReconfigurationManager:
         self.outcome.states[event.observer] = shrink_back_node(state)
 
     def apply_angle_change(self, event: AngleChangeEvent) -> None:
-        """Apply an angle-change event: update the direction, re-run or shrink."""
+        """Apply an angle-change event: update the direction, re-run or shrink.
+
+        The record is re-tagged at its current required power, the level at
+        which a growing phase run now would discover the neighbour.
+        """
         self.events_applied += 1
         self._touched.add(event.observer)
         state = self._state(event.observer)
-        old = state.neighbors.get(event.subject)
         previous_power = state.power_to_reach_all()
-        discovery = old.discovery_power if old is not None else event.required_power
         state.neighbors[event.subject] = NeighborRecord(
             neighbor=event.subject,
             direction=event.new_direction,
             required_power=event.required_power,
-            discovery_power=discovery,
+            discovery_power=event.required_power,
             distance=event.distance,
         )
         if not state.used_max_power and state.has_gap():
@@ -481,36 +483,71 @@ class ReconfigurationManager:
         beacons: _BeaconPowers,
         alive: Set[NodeId],
         reached: Optional[Dict[NodeId, List[NodeId]]] = None,
+        changed: AbstractSet[NodeId] = frozenset(),
         rebuilt: AbstractSet[NodeId] = frozenset(),
     ) -> List[ReconfigurationEvent]:
         """Derive the events a beaconing NDP would deliver in the current geometry.
 
         Without ``reached`` every alive observer is fully checked.  With it
         (a later pass of :meth:`synchronize`), only the observers in
-        ``rebuilt`` get their recorded neighbours re-checked, and joins are
-        looked for only among the subjects ``reached`` lists per observer.
-        Observers are visited in outcome order.
+        ``changed`` (an event of the previous pass rewrote their state) are
+        re-checked for re-admission, and only those in ``rebuilt`` also get
+        their recorded neighbours re-checked.  Joins are looked for only
+        among the subjects ``reached`` lists per observer and those just
+        re-admitted.  Observers are visited in outcome order.
         """
         events: List[ReconfigurationEvent] = []
         for state in list(self.outcome):
             observer = state.node_id
             if observer not in alive:
                 continue
-            candidates = None
-            if reached is not None:
-                candidates = reached.get(observer)
-                if candidates is None and observer not in rebuilt:
-                    continue
+            if reached is not None and observer not in changed and observer not in reached:
+                continue
             known = self._known.get(observer)
             if known is None:
                 known = self._known.setdefault(observer, set(state.neighbor_ids))
-            if reached is None or observer in rebuilt:
+            if reached is None:
                 self._neighbor_events(state, known, reach, events)
-            if reached is None or candidates is not None:
                 # Joins: nodes whose beacon reaches the observer but that
                 # the observer has not heard from.
+                events.extend(self._joins(observer, known, beacons, alive, reach))
+                continue
+            candidates = reached.get(observer)
+            if observer in changed:
+                if observer in rebuilt:
+                    readmitted = self._neighbor_events(state, known, reach, events)
+                else:
+                    readmitted = self._readmit(state, known, reach)
+                if readmitted:
+                    candidates = readmitted.union(candidates) if candidates else readmitted
+            if candidates:
                 events.extend(self._joins(observer, known, beacons, alive, reach, candidates))
         return events
+
+    def _readmit(self, state: NodeState, known: Set[NodeId], reach: Reach) -> Set[NodeId]:
+        """Forget the heard-from nodes the observer's kept levels would record.
+
+        An unrecorded heard-from node whose required power is at most the
+        observer's highest discovery tag is one a growing phase up to that
+        level would discover and shrink-back would keep; it is forgotten so
+        that it joins again.  Returns the forgotten nodes.
+        """
+        neighbors = state.neighbors
+        readmitted: Set[NodeId] = set()
+        if not neighbors:
+            return readmitted
+        top = max(record.discovery_power for record in neighbors.values())
+        # Rejects most nodes before the exact power comparison.
+        bound = _reception_bound(self.network, top)
+        required_power = self.network.power_model.required_power
+        in_range = reach.get(state.node_id, _NO_DISTANCES)
+        for other in known:
+            if other not in neighbors:
+                distance = in_range.get(other)
+                if distance is not None and distance <= bound and required_power(distance) <= top:
+                    readmitted.add(other)
+        known.difference_update(readmitted)
+        return readmitted
 
     def _neighbor_events(
         self,
@@ -518,11 +555,12 @@ class ReconfigurationManager:
         known: Set[NodeId],
         reach: Reach,
         events: List[ReconfigurationEvent],
-    ) -> None:
+    ) -> Set[NodeId]:
         """Append one observer's leave and angle-change events to ``events``.
 
-        Also forgets heard-from nodes that left and silently refreshes the
-        distances of recorded neighbours that stayed.
+        Also forgets heard-from nodes that left, silently refreshes (and
+        re-tags) the records of neighbours that stayed, and then re-admits
+        (see :meth:`_readmit`).  Returns the re-admitted nodes.
         """
         observer = state.node_id
         power_model = self.network.power_model
@@ -560,13 +598,15 @@ class ReconfigurationManager:
                 # incremental topology pipeline must see this node as touched
                 # even though no event is emitted.
                 self._touched.add(observer)
+                required = power_model.required_power(distance)
                 neighbors[neighbor_id] = NeighborRecord(
                     neighbor=neighbor_id,
                     direction=recorded.direction,
-                    required_power=power_model.required_power(distance),
-                    discovery_power=recorded.discovery_power,
+                    required_power=required,
+                    discovery_power=required,
                     distance=distance,
                 )
+        return self._readmit(state, known, reach)
 
     def synchronize(self, *, max_iterations: int = 20) -> int:
         """Apply detected events until quiescence; return iterations used.
@@ -601,13 +641,14 @@ class ReconfigurationManager:
         reach = self._reach()
         beacons = _BeaconPowers(self.outcome, self.network, reach)
         reached: Optional[Dict[NodeId, List[NodeId]]] = None
+        before: Dict[NodeId, List[NodeId]] = {}
         rebuilt: Set[NodeId] = set()
         for iteration in range(1, max_iterations + 1):
-            events = self._detect_events(reach, beacons, alive, reached, rebuilt)
+            events = self._detect_events(reach, beacons, alive, reached, before, rebuilt)
             if not events:
                 return iteration - 1
             # Each observer's neighbour ids before its events, for the beacon refresh.
-            before: Dict[NodeId, List[NodeId]] = {}
+            before = {}
             for event in events:
                 if event.observer not in before:
                     before[event.observer] = list(self.outcome.states[event.observer].neighbors)

@@ -69,8 +69,10 @@ def _undirected_from_pairs(
         for node_id in graph.nodes:
             graph.nodes[node_id]["pos"] = network.node(node_id).position.as_tuple()
     for u, v in pairs:
-        length = _edge_length(outcome, u, v)
-        graph.add_edge(u, v, length=length)
+        # A pair listed from both ends gets the same canonical length, so
+        # the second insertion would change nothing.
+        if not graph.has_edge(u, v):
+            graph.add_edge(u, v, length=_edge_length(outcome, u, v))
     return graph
 
 

@@ -1,0 +1,99 @@
+"""Maintained CBTC states under mobility: divergence from fresh CBTC, and
+connectivity on every epoch."""
+
+import dataclasses
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.analysis import preserves_max_power_connectivity, state_divergence
+from repro.core.cbtc import run_cbtc
+from repro.core.optimizations import shrink_back
+from repro.core.pipeline import OptimizationConfig
+from repro.core.reconfiguration import ReconfigurationManager
+from repro.geometry import Point
+from repro.net.placement import PlacementConfig, random_uniform_placement
+from repro.scenarios.catalogue import get_scenario
+from repro.scenarios.runner import ScenarioRunner
+
+ALPHA = 5 * math.pi / 6
+
+
+def _drift_spec(node_count):
+    """``random-waypoint-drift`` at the catalogue density, 20% movers, one epoch per run()."""
+    base = get_scenario("random-waypoint-drift")
+    side = base.placement.width * math.sqrt(node_count / base.placement.node_count)
+    return dataclasses.replace(
+        base,
+        placement=dataclasses.replace(base.placement, node_count=node_count, width=side, height=side),
+        mobility=dataclasses.replace(base.mobility, mover_fraction=0.2),
+        epochs=1,
+    )
+
+
+class TestStateDivergence:
+    def test_fresh_shrunk_states_do_not_diverge(self):
+        network = random_uniform_placement(PlacementConfig(node_count=60), seed=4)
+        divergence = state_divergence(shrink_back(run_cbtc(network, ALPHA)), network)
+        assert divergence.power_ratio == 1.0
+        assert divergence.share_above == 0.0
+        assert divergence.mean_records == divergence.fresh_mean_records > 0
+
+    def test_maintained_power_stays_near_fresh_over_drift_epochs(self):
+        # Without re-tagging and re-admission the maintained states drift to
+        # more than twice the power of a fresh run within ten epochs.
+        runner = ScenarioRunner(_drift_spec(400), seed=1)
+        runner.prime()
+        ratios = []
+        for _ in range(20):
+            result = runner.run()
+            assert all(epoch.connectivity_preserved for epoch in result.epochs)
+            ratios.append(state_divergence(runner._manager.outcome, runner.network).power_ratio)
+        assert max(ratios) <= 1.2, ratios
+
+
+_STEP = st.one_of(
+    st.tuples(
+        st.just("move"),
+        st.integers(min_value=0, max_value=60),
+        st.floats(min_value=0.0, max_value=1500.0),
+        st.floats(min_value=0.0, max_value=1500.0),
+    ),
+    st.tuples(st.sampled_from(["crash", "recover"]), st.integers(min_value=0, max_value=60)),
+)
+
+
+class TestConnectivityUnderSchedules:
+    """The reconfiguration rules keep ``G_R``'s connectivity after every
+    epoch, and each synchronize ends at a fixpoint."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        node_count=st.integers(min_value=8, max_value=40),
+        alpha=st.sampled_from([ALPHA, 2 * math.pi / 3]),
+        epochs=st.lists(st.lists(_STEP, max_size=8), min_size=1, max_size=4),
+    )
+    def test_every_epoch_preserves_connectivity(self, seed, node_count, alpha, epochs):
+        network = random_uniform_placement(PlacementConfig(node_count=node_count), seed=seed)
+        manager = ReconfigurationManager(network, alpha)
+        node_ids = network.node_ids
+        for steps in epochs:
+            for step in steps:
+                node = network.node(node_ids[step[1] % len(node_ids)])
+                if step[0] == "move":
+                    node.move_to(Point(step[2], step[3]))
+                elif step[0] == "crash":
+                    node.crash()
+                else:
+                    node.recover()
+            manager.synchronize()
+            # A synchronize ends at a fixpoint: a second one applies nothing.
+            applied = manager.events_applied
+            assert manager.synchronize() == 0
+            assert manager.events_applied == applied
+            # The reconfiguration rules keep G_alpha and its shrink-back.
+            for config in (OptimizationConfig.none(), OptimizationConfig.shrink_only()):
+                graph = manager.topology(config=config).graph
+                assert preserves_max_power_connectivity(network, graph)

@@ -6,7 +6,10 @@ from-scratch ``build_topology`` after any sequence of moves, crashes,
 recoveries and joins.
 """
 
+import copy
+import dataclasses
 import math
+import pickle
 import random
 
 import pytest
@@ -161,6 +164,56 @@ class TestManagerDrivenBuilder:
         assert builder.incremental_updates >= 1
 
 
+class TestSharedBaseGraph:
+    """With no edge removed, a rebuild's result shares the builder's base
+    graph; the next splice must copy it first."""
+
+    def test_splices_leave_earlier_results_unchanged(self):
+        network, side = _drift_network()
+        manager = ReconfigurationManager(network, ALPHA)
+        manager.synchronize()  # the first call completes every node's knowledge
+        config = OptimizationConfig.shrink_only()
+        results = [manager.topology(config=config)]
+        assert results[0].graph is manager._builder._base
+        snapshots = [results_to_json(results[0])]
+        rng = random.Random(5)
+        for _ in range(3):
+            _perturb(network, side, rng)
+            manager.synchronize()
+            results.append(manager.topology(config=config))
+            snapshots.append(results_to_json(results[-1]))
+            full = build_topology(network, ALPHA, config=config, outcome=manager.outcome)
+            assert snapshots[-1] == results_to_json(full)
+        assert manager.incremental_updates == 3
+        assert [results_to_json(result) for result in results] == snapshots
+
+    def test_builder_pickled_with_a_separate_final_graph_continues_identically(self):
+        # Builders pickled before the sharing held their own copy of the
+        # final graph and of the manager's states; they must load and keep
+        # splicing exactly as a builder that shares the graph.
+        network, side = _drift_network()
+        manager = ReconfigurationManager(network, ALPHA)
+        manager.synchronize()
+        config = OptimizationConfig.shrink_only()
+        manager.topology(config=config)
+        twin_network, twin = copy.deepcopy((network, manager))
+        builder = manager._builder
+        builder._result = dataclasses.replace(builder._result, graph=builder._base.copy())
+        builder._raw = manager.outcome.copy()
+        manager._last_result = builder._result
+        network, manager = pickle.loads(pickle.dumps((network, manager)))
+        rng, twin_rng = random.Random(9), random.Random(9)
+        for _ in range(3):
+            _perturb(network, side, rng)
+            _perturb(twin_network, side, twin_rng)
+            manager.synchronize()
+            twin.synchronize()
+            assert results_to_json(manager.topology(config=config)) == results_to_json(
+                twin.topology(config=config)
+            )
+        assert manager.incremental_updates == twin.incremental_updates == 3
+
+
 class TestModeSwitching:
     def test_switching_outcome_modes_reprimes_instead_of_mixing(self):
         network, side = _drift_network(node_count=60)
@@ -171,9 +224,9 @@ class TestModeSwitching:
         manager.synchronize()
         builder.update(dirty | manager._touched, outcome=manager.outcome)
         builds_before = builder.full_builds
-        # Same builder, now without an external outcome: must re-prime (its
-        # raw snapshot describes manager states, not self-run CBTC) and then
-        # still match a from-scratch build.
+        # Same builder, now without an external outcome: must re-prime (it
+        # holds no self-run CBTC states to splice into) and then still match
+        # a from-scratch build.
         result = builder.update({network.node_ids[0]})
         assert builder.full_builds == builds_before + 1
         assert results_to_json(result) == results_to_json(

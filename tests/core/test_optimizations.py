@@ -94,8 +94,28 @@ class TestShrinkBack:
         assert preserves_connectivity(reference, controlled)
 
     def test_empty_state_is_noop(self):
-        state = NodeState(node_id=0, alpha=ALPHA)
-        assert shrink_back_node(state) is state
+        state = NodeState(node_id=0, alpha=ALPHA, final_power=2.5, rounds=3)
+        shrunk = shrink_back_node(state)
+        assert shrunk is not state
+        assert shrunk == state
+
+    @pytest.mark.parametrize("empty", [True, False])
+    def test_output_does_not_alias_the_input(self, empty):
+        # Callers hand shrink-back the states they keep mutating (the
+        # reconfiguration manager edits records in place), so the result
+        # must never share the input's state or mapping.
+        state = NodeState(node_id=0, alpha=ALPHA, used_max_power=True, final_power=4.0)
+        if not empty:
+            state.add_neighbor(_record(1, 0.0, 0.2, discovery=1.0))
+            state.add_neighbor(_record(2, 0.0, 0.9, discovery=4.0))
+        shrunk = shrink_back_node(state)
+        before = (dict(shrunk.neighbors), shrunk.final_power, shrunk.rounds)
+        state.add_neighbor(_record(3, math.pi, 0.5))
+        state.remove_neighbor(1)
+        state.final_power = 9.0
+        state.rounds += 1
+        assert shrunk is not state and shrunk.neighbors is not state.neighbors
+        assert (dict(shrunk.neighbors), shrunk.final_power, shrunk.rounds) == before
 
 
 def _reference_shrink_back_node(state):

@@ -348,12 +348,17 @@ class TestJoinDetection:
 # scans every observer.
 # --------------------------------------------------------------------------- #
 def _reference_detect(manager, reach, alive):
-    """One all-observer detection pass (joins from the all-pairs definition)."""
+    """One all-observer detection pass (joins from the all-pairs definition).
+
+    Each observer forgets heard-from nodes out of range, checks every
+    recorded neighbour (a silent refresh re-tags the record), and re-admits
+    the unrecorded heard-from nodes whose required power is at most its
+    highest discovery tag; joins are then derived for every observer.
+    """
     network = manager.network
     power_model = network.power_model
     beacon_powers = beacon_power_policy(manager.outcome, network, distances=reach)
-    joins_by_observer = _joins_by_definition(manager, beacon_powers, alive)
-    events = []
+    neighbor_events = {}
     for state in list(manager.outcome):
         observer = state.node_id
         if observer not in alive:
@@ -363,6 +368,7 @@ def _reference_detect(manager, reach, alive):
         for other_id in list(known):
             if other_id not in state.neighbors and other_id not in in_range:
                 known.discard(other_id)
+        events = neighbor_events[observer] = []
         for neighbor_id in state.neighbor_ids:
             distance = in_range.get(neighbor_id)
             if distance is None:
@@ -386,9 +392,22 @@ def _reference_detect(manager, reach, alive):
                     neighbor=neighbor_id,
                     direction=recorded.direction,
                     required_power=power_model.required_power(distance),
-                    discovery_power=recorded.discovery_power,
+                    discovery_power=power_model.required_power(distance),
                     distance=distance,
                 )
+        if state.neighbors:
+            top = max(record.discovery_power for record in state.neighbors.values())
+            for other_id in list(known):
+                if (
+                    other_id not in state.neighbors
+                    and other_id in in_range
+                    and power_model.required_power(in_range[other_id]) <= top
+                ):
+                    known.discard(other_id)
+    joins_by_observer = _joins_by_definition(manager, beacon_powers, alive)
+    events = []
+    for observer, found in neighbor_events.items():
+        events.extend(found)
         events.extend(joins_by_observer.get(observer, ()))
     return events
 
@@ -531,11 +550,11 @@ class TestSynchronizeOracle:
 
     #: A fixed world and schedule (found by search) that hits every case the
     #: re-detection rule has to get right; the test asserts each one happens.
-    CELLS = [171, 207, 107, 238, 43, 197, 114, 235, 115, 200, 118, 75, 92]
+    CELLS = [150, 155, 62, 247, 55, 280, 223, 235, 161, 185]
     ROUNDS = [
-        [("crash", 38, 162), ("crash", 15, 203), ("join", 34, 150), ("move", 11, 178)],
-        [("recover", 34, 77), ("crash", 25, 104), ("move", 33, 160)],
-        [("join", 37, 90), ("recover", 26, 201), ("crash", 21, 69), ("join", 25, 218)],
+        [("crash", 9, 91), ("move", 39, 139)],
+        [("recover", 9, 168), ("crash", 33, 193)],
+        [("move", 9, 2), ("join", 4, 203), ("move", 37, 217)],
     ]
 
     def test_exercises_the_delicate_cases(self, monkeypatch):
@@ -550,6 +569,9 @@ class TestSynchronizeOracle:
             "crashed_neighbor": False,
             # A recovered node re-ran the growing phase from power 0.
             "recovered_rerun": False,
+            # A later pass re-admitted a node at an observer whose state the
+            # previous pass rewrote.
+            "readmitted_later": False,
         }
         production = []
 
@@ -586,6 +608,20 @@ class TestSynchronizeOracle:
                 seen["recovered_rerun"] = True
             rerun(self, node_id, from_power=from_power)
 
+        detect = ReconfigurationManager._detect_events
+
+        def spying_detect(self, reach, beacons, alive, reached=None, *args):
+            self.spied_later = reached is not None
+            return detect(self, reach, beacons, alive, reached, *args)
+
+        readmit = ReconfigurationManager._readmit
+
+        def spying_readmit(self, state, known, reach):
+            readmitted = readmit(self, state, known, reach)
+            if self in production and readmitted and self.spied_later:
+                seen["readmitted_later"] = True
+            return readmitted
+
         def spy(manager):
             production[:] = [manager]
             manager.spied_seen = getattr(manager, "spied_seen", set()) | set(manager.outcome.states)
@@ -595,6 +631,8 @@ class TestSynchronizeOracle:
         monkeypatch.setattr(_BeaconPowers, "refresh", spying_refresh)
         monkeypatch.setattr(ReconfigurationManager, "_newly_reached", spying_newly_reached)
         monkeypatch.setattr(ReconfigurationManager, "_rerun", spying_rerun)
+        monkeypatch.setattr(ReconfigurationManager, "_detect_events", spying_detect)
+        monkeypatch.setattr(ReconfigurationManager, "_readmit", spying_readmit)
         history = _run_twins(self.CELLS, self.ROUNDS, spy=spy)
         assert seen == dict.fromkeys(seen, True)
         # Later passes happened: the restricted re-detection was exercised.
