@@ -46,7 +46,7 @@ from repro.core.optimizations import (
     redundant_edges,
     edge_id,
 )
-from repro.core.pipeline import build_topology, update_topology, OptimizationConfig
+from repro.core.pipeline import build_topology, OptimizationConfig
 from repro.core.incremental import IncrementalTopologyBuilder
 from repro.core.counterexamples import (
     asymmetry_example,
@@ -92,7 +92,6 @@ __all__ = [
     "redundant_edges",
     "edge_id",
     "build_topology",
-    "update_topology",
     "IncrementalTopologyBuilder",
     "OptimizationConfig",
     "asymmetry_example",

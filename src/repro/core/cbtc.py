@@ -59,52 +59,6 @@ def _sorted_candidates(network: Network, node: Node) -> List[Tuple[float, Node, 
     return candidates
 
 
-def _patch_sorted_candidates(network: Network, adjacency: dict, dirty) -> Optional[dict]:
-    """Splice a dirty candidate-list cache back to freshness, in place.
-
-    The nodes whose candidate lists may have changed are the dirty nodes
-    themselves, everyone who previously had a dirty node in range (read off
-    the stale adjacency — it lists exactly the nodes within range of the
-    dirty node's old position) and everyone within range of a dirty node's
-    new position (an index query).  Each affected list is rebuilt from the
-    spatial index with the same floats and the same ``(required_power,
-    node_id)`` sort the full enumeration uses, so the patched cache is
-    indistinguishable from a rebuilt one (property-tested).  Returns ``None``
-    when the affected region covers most of the network and a full rebuild
-    is cheaper.
-    """
-    power_model = network.power_model
-    index = network.spatial_index()
-    max_range = power_model.max_range
-    affected = set()
-    for d in dirty:
-        affected.add(d)
-        old = adjacency.get(d)
-        if old:
-            affected.update(other.node_id for _, other, _ in old)
-        if d in index and d in network:
-            affected.update(
-                index.neighbors_within(network.node(d).position, max_range, exclude=d)
-            )
-    if 2 * len(affected) >= max(len(adjacency), 1):
-        return None
-    required_power = power_model.required_power
-    for a in affected:
-        if a not in network or not network.node(a).alive:
-            adjacency.pop(a, None)
-            continue
-        node = network.node(a)
-        items = [
-            (required_power(dist), network.node(other_id), dist)
-            for other_id, dist in index.neighbors_with_distances(
-                node.position, max_range, exclude=a
-            )
-        ]
-        items.sort(key=lambda item: (item[0], item[1].node_id))
-        adjacency[a] = items
-    return adjacency
-
-
 def _all_sorted_candidates(network: Network) -> dict:
     """Per-node sorted candidate lists for every alive node, in one index pass.
 
@@ -113,23 +67,15 @@ def _all_sorted_candidates(network: Network) -> dict:
     halving the distance work of querying per node.  The result is memoized
     in the network's derived cache, so repeated CBTC runs over an unchanged
     network — Table 1 evaluates four optimization configs per network,
-    sweeps run many alphas — skip the enumeration entirely.  When only a few
-    nodes changed since the cache was stored (epoch-to-epoch mobility), the
-    entry is spliced per region by :func:`_patch_sorted_candidates` instead
-    of being recomputed wholesale.
+    sweeps run many alphas — skip the enumeration entirely.  The network
+    drops the memo on any node change.
     """
     power_model = network.power_model
     cache = network.derived_cache
     cache_key = ("cbtc_sorted_candidates", power_model)
-    entry = cache.entry(cache_key)
-    if entry is not None:
-        adjacency, dirty = entry
-        if not dirty:
-            return adjacency
-        patched = _patch_sorted_candidates(network, adjacency, dirty)
-        if patched is not None:
-            cache.put(cache_key, patched)
-            return patched
+    adjacency = cache.get(cache_key)
+    if adjacency is not None:
+        return adjacency
     required_power = power_model.required_power
     alive = [node for node in network.nodes if node.alive]
     nodes_by_id = {node.node_id: node for node in alive}
@@ -140,7 +86,7 @@ def _all_sorted_candidates(network: Network) -> dict:
         adjacency[v].append((required, nodes_by_id[u], dist))
     for items in adjacency.values():
         items.sort(key=lambda item: (item[0], item[1].node_id))
-    cache[cache_key] = adjacency
+    cache.put(cache_key, adjacency)
     return adjacency
 
 

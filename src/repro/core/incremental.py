@@ -1,20 +1,16 @@
 """Incremental epoch-to-epoch topology construction.
 
-The paper's reconfiguration protocol (Section 5) is explicitly local: a
+The paper's reconfiguration protocol (Section 4) is explicitly local: a
 join, leave or angle change only perturbs nodes within radio range of the
 event.  :func:`~repro.core.pipeline.build_topology` throws that locality
-away — every epoch it re-runs CBTC at all nodes, re-applies the
-optimizations everywhere and rebuilds the graph from scratch.
-:class:`IncrementalTopologyBuilder` keeps the previous
+away — every call re-applies the optimizations everywhere and rebuilds the
+graph from scratch.  :class:`IncrementalTopologyBuilder` keeps the previous
 :class:`~repro.core.topology.TopologyResult` plus the intermediate pipeline
-state alive and, given the set of *dirty* nodes (moved, crashed, recovered,
-joined, or with a rewritten CBTC state), recomputes each stage only inside
-the affected region:
+state alive and, given the CBTC states the reconfiguration manager
+maintains and the set of *dirty* nodes (moved, crashed, recovered, joined,
+or with a rewritten CBTC state), recomputes each stage only inside the
+affected region:
 
-* **CBTC** (when the builder recomputes states itself): dirty nodes plus
-  every *witness* — any node within maximum range of a dirty node's old or
-  new position, found through the spatial index — re-run the growing phase;
-  everyone else's state is provably unchanged.
 * **Shrink-back** is a pure per-node function of the raw state, so it is
   re-applied to dirty states only.
 * **Symmetric closure/subset graph**: only edges incident to a dirty state
@@ -36,17 +32,14 @@ outcome=outcome)``.  This is enforced by ``tests/core/test_incremental.py``
 and by the scenario-level equivalence battery.
 
 Full-rebuild fallback: the builder falls back to a from-scratch build when
-(a) it has no previous result, (b) the dirty region covers most of the
-network (splicing would cost more than rebuilding), or (c) the builder runs
-CBTC itself and the dirty nodes plus their in-range witnesses cover most of
-the network.
+(a) it has no previous result, or (b) the dirty region covers most of the
+network (splicing would cost more than rebuilding).
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Set, Tuple
 
-from repro.core.cbtc import _all_sorted_candidates, run_cbtc, run_cbtc_for_node
 from repro.core.constants import (
     ALPHA_ASYMMETRIC_REMOVAL_THRESHOLD,
     PAIRWISE_ANGLE_THRESHOLD,
@@ -64,7 +57,6 @@ from repro.net.network import Network
 from repro.net.node import NodeId
 from repro.obs.metrics import COUNT_BUCKETS, Histogram
 from repro.obs.trace import get_tracer
-from repro.radio.power import PowerSchedule
 
 Edge = Tuple[NodeId, NodeId]
 
@@ -84,12 +76,11 @@ class IncrementalTopologyBuilder:
     """Maintains a topology across epochs, splicing in per-epoch deltas.
 
     Parameters mirror :func:`~repro.core.pipeline.build_topology`; one
-    builder serves one ``(network, alpha, config, schedule)`` combination.
-    Call :meth:`rebuild` to prime (or re-prime) the caches with a full
-    build, then :meth:`update` with each epoch's dirty-node set.  In both
-    calls ``outcome`` may supply externally maintained CBTC states (the
-    reconfiguration manager's); without it the builder runs/reruns CBTC
-    itself, confining reruns to dirty nodes and their in-range witnesses.
+    builder serves one ``(network, alpha, config)`` combination.  Call
+    :meth:`rebuild` to prime (or re-prime) the caches with a full build,
+    then :meth:`update` with each epoch's dirty-node set.  Both take the
+    CBTC states to build from (the reconfiguration manager's outcome); the
+    builder never runs CBTC itself.
     """
 
     def __init__(
@@ -98,14 +89,12 @@ class IncrementalTopologyBuilder:
         alpha: float,
         *,
         config: Optional["OptimizationConfig"] = None,
-        schedule: Optional[PowerSchedule] = None,
     ) -> None:
         from repro.core.pipeline import OptimizationConfig
 
         self.network = network
         self.alpha = alpha
         self.config = config if config is not None else OptimizationConfig.none()
-        self.schedule = schedule
         self.full_builds = 0
         self.incremental_updates = 0
         # Telemetry only (metrics op): how often splicing was abandoned for a
@@ -113,7 +102,6 @@ class IncrementalTopologyBuilder:
         self.fallbacks = 0
         self.dirty_size_hist = Histogram(COUNT_BUCKETS)
         self._result: Optional[TopologyResult] = None
-        self._raw: Optional[CBTCOutcome] = None
         self._working: Optional[CBTCOutcome] = None
         self._in_neighbors: Dict[NodeId, Set[NodeId]] = {}
         self._base = None  # nx.Graph before pairwise removal
@@ -124,56 +112,43 @@ class IncrementalTopologyBuilder:
         self._removed: Set[Edge] = set()
         self._radius: Dict[NodeId, float] = {}
         self._power: Dict[NodeId, float] = {}
-        self._positions: Dict[NodeId, object] = {}
-        # Whether this builder's states come from an externally maintained
-        # outcome (reconfiguration manager) or from its own CBTC runs.  The
-        # two must not mix: _raw is only maintained on the self-run path, so
-        # switching modes silently would splice stale states.  A mode switch
-        # forces a re-priming rebuild instead.
-        self._external_outcome: Optional[bool] = None
 
-    def matches(self, network: Network, alpha: float, config, schedule=None) -> bool:
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        # Builders pickled by older versions also carry the attributes of a
+        # retired mode that ran CBTC itself: only the current ones are kept.
+        self.__init__(state["network"], state["alpha"], config=state["config"])
+        self.__dict__.update({key: state[key] for key in vars(self) if key in state})
+
+    def matches(self, network: Network, alpha: float, config) -> bool:
         """Whether this builder serves the given pipeline parameters."""
-        return (
-            self.network is network
-            and self.alpha == alpha
-            and self.config == config
-            and self.schedule == schedule
-        )
+        return self.network is network and self.alpha == alpha and self.config == config
 
     # ------------------------------------------------------------------ #
     # Full rebuild (priming + fallback)
     # ------------------------------------------------------------------ #
-    def rebuild(self, outcome: Optional[CBTCOutcome] = None) -> TopologyResult:
+    def rebuild(self, outcome: CBTCOutcome) -> TopologyResult:
         """Run the full pipeline and (re)prime every incremental cache.
 
         Stage for stage this follows ``build_topology`` exactly; the only
         difference is that the intermediates (working outcome, base graph,
         per-node redundancy contributions, longest-non-redundant table,
         removal set, radius/power maps) are retained for later splicing.
+        ``outcome`` is re-read on every update; no snapshot of it is kept.
         """
         with get_tracer().span("topology.rebuild"):
             return self._rebuild(outcome)
 
-    def _rebuild(self, outcome: Optional[CBTCOutcome] = None) -> TopologyResult:
+    def _rebuild(self, outcome: CBTCOutcome) -> TopologyResult:
         self.full_builds += 1
-        self._external_outcome = outcome is not None
         network, alpha, config = self.network, self.alpha, self.config
-        if outcome is None:
-            # The builder's own run: nothing else holds it, so later
-            # updates re-run CBTC into it in place.
-            raw = self._raw = run_cbtc(network, alpha, schedule=self.schedule)
-        else:
-            # External states are re-read on every update; no snapshot is kept.
-            raw, self._raw = outcome, None
         if config.shrink_back:
-            working = CBTCOutcome(alpha=raw.alpha)
-            for state in raw:
+            working = CBTCOutcome(alpha=outcome.alpha)
+            for state in outcome:
                 working.states[state.node_id] = shrink_back_node(state)
         else:
             working = CBTCOutcome(
-                alpha=raw.alpha,
-                states={node_id: state.copy() for node_id, state in raw.states.items()},
+                alpha=outcome.alpha,
+                states={node_id: state.copy() for node_id, state in outcome.states.items()},
             )
         self._working = working
 
@@ -218,51 +193,36 @@ class IncrementalTopologyBuilder:
         self._radius = per_node_radius(final, network)
         required_power = network.power_model.required_power
         self._power = {node_id: required_power(r) for node_id, r in self._radius.items()}
-        self._positions = {node.node_id: node.position for node in network.nodes}
         self._result = self._materialize(final)
         return self._result
 
     # ------------------------------------------------------------------ #
     # Incremental update
     # ------------------------------------------------------------------ #
-    def update(
-        self, dirty: Iterable[NodeId], outcome: Optional[CBTCOutcome] = None
-    ) -> TopologyResult:
+    def update(self, dirty: Iterable[NodeId], outcome: CBTCOutcome) -> TopologyResult:
         """Splice an epoch delta into the previous result.
 
         ``dirty`` must contain every node whose position or liveness changed
-        since the last build *and* (when ``outcome`` is supplied) every node
-        whose CBTC state was rewritten.  Over-approximation is safe;
-        omission is not.  Returns the result for the network's current
-        state, byte-identical to a from-scratch build.
+        since the last build *and* every node whose state in ``outcome`` was
+        rewritten.  Over-approximation is safe; omission is not.  Returns
+        the result for the network's current state, byte-identical to a
+        from-scratch build.
         """
         with get_tracer().span("topology.update"):
             return self._update(dirty, outcome)
 
-    def _update(
-        self, dirty: Iterable[NodeId], outcome: Optional[CBTCOutcome] = None
-    ) -> TopologyResult:
-        if self._result is None or self._external_outcome != (outcome is not None):
-            # First build, or the caller switched between supplying external
-            # states and letting the builder run CBTC itself — the cached
-            # raw/working snapshots describe the other mode, so re-prime.
-            return self.rebuild(outcome=outcome)
+    def _update(self, dirty: Iterable[NodeId], outcome: CBTCOutcome) -> TopologyResult:
+        if self._result is None:
+            return self.rebuild(outcome)
         dirty = set(dirty)
         if not dirty:
             return self._result
         self.dirty_size_hist.observe(len(dirty))
         network, config = self.network, self.config
-        if outcome is None:
-            expanded = self._recompute_cbtc(dirty)
-            if expanded is None:
-                self.fallbacks += 1
-                return self.rebuild()
-            dirty = expanded
-            outcome = self._raw
         population = max(len(outcome.states), len(self._working.states), 1)
         if len(dirty) >= FULL_REBUILD_FRACTION * population:
             self.fallbacks += 1
-            return self.rebuild(outcome=outcome if outcome is not self._raw else None)
+            return self.rebuild(outcome)
 
         self.incremental_updates += 1
         base = self._base
@@ -415,12 +375,6 @@ class IncrementalTopologyBuilder:
             self._radius[u] = best
             self._power[u] = required_power(best)
 
-        # ---- bookkeeping + materialization --------------------------- #
-        for d in dirty:
-            if d in network:
-                self._positions[d] = network.node(d).position
-            else:
-                self._positions.pop(d, None)
         self._result = self._materialize(self._final_graph())
         return self._result
 
@@ -455,44 +409,6 @@ class IncrementalTopologyBuilder:
         """The paper's removal rule: only drop edges that lower a radius."""
         u, v = edge
         return length > self._longest[u] or length > self._longest[v]
-
-    def _recompute_cbtc(self, dirty: Set[NodeId]) -> Optional[Set[NodeId]]:
-        """Re-run the growing phase for dirty nodes and their witnesses.
-
-        Witnesses are found through the spatial index at maximum power: any
-        node whose candidate set changed must be within maximum range of a
-        dirty node's old or new position.  Updates ``self._raw`` in place
-        and returns the expanded dirty set, or ``None`` to request a full
-        rebuild (region too large).
-        """
-        network = self.network
-        index = network.spatial_index()
-        max_range = network.power_model.max_range
-        affected = set()
-        for d in dirty:
-            affected.add(d)
-            old_position = self._positions.get(d)
-            if old_position is not None:
-                affected.update(index.neighbors_within(old_position, max_range))
-            if d in network and network.node(d).alive:
-                affected.update(
-                    index.neighbors_within(network.node(d).position, max_range, exclude=d)
-                )
-        if len(affected) >= FULL_REBUILD_FRACTION * max(len(self._raw.states), 1):
-            return None
-        all_candidates = _all_sorted_candidates(network)
-        for a in sorted(affected):
-            if a in network and network.node(a).alive:
-                self._raw.states[a] = run_cbtc_for_node(
-                    network,
-                    a,
-                    self.alpha,
-                    schedule=self.schedule,
-                    _candidates=all_candidates[a],
-                )
-            else:
-                self._raw.states.pop(a, None)
-        return affected | dirty
 
     def _materialize(self, final) -> TopologyResult:
         alpha, config = self.alpha, self.config

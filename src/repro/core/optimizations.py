@@ -233,7 +233,8 @@ def redundant_edges_from_node(
 
     One node's contribution to :func:`redundant_edges`: the edges ``(u, v)``
     for which some other neighbour ``w`` of ``u`` satisfies
-    ``angle(v, u, w) < pi/3`` and ``eid(u, w) < eid(u, v)``.  The scan
+    ``angle(v, u, w) < pi/3``, ``eid(u, w) < eid(u, v)`` and (implied in
+    exact geometry) ``eid(w, v) < eid(u, v)``.  The scan
     depends only on ``u``'s adjacency and the current positions of ``u`` and
     its neighbours, which is the locality the incremental pipeline exploits:
     after a mobility/churn delta it rescans only the nodes whose inputs
@@ -250,16 +251,22 @@ def redundant_edges_from_node(
     # Visiting neighbours in increasing edge-ID order means only the
     # already-seen ones can witness redundancy (eid(u, w) < eid(u, v)),
     # halving the scan.  Edge IDs are a strict total order, so this is
-    # exactly Definition 3.5.
+    # exactly Definition 3.5.  Removing (u, v) is safe because the path
+    # u-w-v uses only smaller edge IDs: eid(w, v) < eid(u, v) follows from
+    # the angle and eid(u, w) < eid(u, v) in exact geometry, but not in
+    # floating point when w (nearly) coincides with u.  So it is checked.
     seen: List[NodeId] = []
     for v in sorted(neighbors, key=ids.__getitem__):
         direction_v = directions[v]
+        v_node = node_of(v)
         for w in seen:
             # angle_difference inlined: directions are already in [0, 2*pi).
             diff = abs(direction_v - directions[w])
             if diff > math.pi:
                 diff = TWO_PI - diff
-            if diff < angle_threshold:
+            if diff < angle_threshold and (
+                v_node.distance_to(node_of(w)), max(v, w), min(v, w)
+            ) < ids[v]:
                 redundant.add((min(u, v), max(u, v)))
                 break
         seen.append(v)
@@ -275,7 +282,8 @@ def redundant_edges(
     """All redundant edges of ``graph`` per Definition 3.5.
 
     An edge ``(u, v)`` is redundant if some other neighbour ``w`` of ``u``
-    satisfies ``angle(v, u, w) < pi/3`` and ``eid(u, w) < eid(u, v)``.
+    satisfies ``angle(v, u, w) < pi/3``, ``eid(u, w) < eid(u, v)`` and
+    ``eid(w, v) < eid(u, v)`` (see :func:`redundant_edges_from_node`).
     Returned edges are normalized as ``(min, max)`` pairs.
     """
     redundant: Set[Tuple[NodeId, NodeId]] = set()

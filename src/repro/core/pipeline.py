@@ -17,10 +17,9 @@ The paper's Table 1 columns map onto :class:`OptimizationConfig` as::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.net.network import Network
-from repro.net.node import NodeId
 from repro.radio.power import PowerSchedule
 from repro.core.constants import ALPHA_ASYMMETRIC_REMOVAL_THRESHOLD
 from repro.core.cbtc import run_cbtc
@@ -139,46 +138,3 @@ def build_topology(
         node_power=power,
     )
 
-
-def update_topology(
-    network: Network,
-    alpha: float,
-    prev: Optional[TopologyResult],
-    dirty_nodes: Iterable[NodeId],
-    *,
-    config: Optional[OptimizationConfig] = None,
-    schedule: Optional[PowerSchedule] = None,
-    outcome: Optional[CBTCOutcome] = None,
-) -> TopologyResult:
-    """Incrementally advance a previously built topology after a delta.
-
-    ``dirty_nodes`` are the nodes that moved, crashed, recovered, joined, or
-    left since ``prev`` was built (over-approximating is safe).  CBTC is
-    re-run only for the dirty nodes and their in-range witnesses (found via
-    the spatial index at maximum power), the optimization passes are
-    re-applied scoped to the affected subgraph, and the result is spliced
-    into ``prev`` — byte-identical (via :mod:`repro.io` serialization) to a
-    from-scratch :func:`build_topology`, at a fraction of the cost when the
-    delta is local.
-
-    The incremental state rides along on the returned result: pass each
-    epoch's result back as ``prev``.  When ``prev`` is ``None``, carries no
-    incremental state, or was built under different parameters — or when
-    the dirty region covers most of the network — the call falls back to a
-    full rebuild (and primes fresh incremental state).  ``outcome`` may
-    supply externally maintained CBTC states (e.g. the reconfiguration
-    manager's), in which case no CBTC is re-run here at all.
-    """
-    from repro.core.incremental import IncrementalTopologyBuilder
-
-    config = config if config is not None else OptimizationConfig.none()
-    builder = getattr(prev, "incremental_builder", None) if prev is not None else None
-    if builder is None or not builder.matches(network, alpha, config, schedule):
-        builder = IncrementalTopologyBuilder(network, alpha, config=config, schedule=schedule)
-        result = builder.rebuild(outcome=outcome)
-    else:
-        result = builder.update(dirty_nodes, outcome=outcome)
-    # Attached as a plain attribute (not a dataclass field), so it never
-    # leaks into serialized results.
-    result.incremental_builder = builder
-    return result

@@ -22,69 +22,38 @@ from repro.radio import PowerModel, default_power_model
 
 
 class DerivedDataCache:
-    """Keyed cache of data derived from node positions/liveness.
+    """Memo of data derived from node positions and liveness.
 
-    Instead of dropping every entry on any node change (the wholesale
-    invalidation the cache used historically), each entry carries the set of
-    node IDs that changed since it was stored:
-
-    * :meth:`get` keeps the legacy semantics — a dirty entry reads as a miss —
-      so consumers that cannot patch their data incrementally stay correct
-      without changes;
-    * :meth:`entry` returns ``(value, dirty_node_ids)`` so consumers that
-      *can* patch per region (e.g. CBTC's per-node candidate lists) splice in
-      just the dirty neighbourhoods and re-:meth:`put` the result.
+    The owning :class:`Network` clears it on every node change (a move to
+    the same position is no change), so a stored value is always current.
+    Entries must be keyed on everything else they depend on.  The memo
+    never rides a pickle: a loaded network starts with it empty.
     """
 
-    __slots__ = ("_values", "_dirty", "hits", "misses")
+    __slots__ = ("_values",)
 
     def __init__(self) -> None:
         self._values: Dict[object, object] = {}
-        self._dirty: Dict[object, Set[NodeId]] = {}
-        # Telemetry-only lookup counters surfaced through the metrics op.
-        self.hits = 0
-        self.misses = 0
+
+    def __reduce__(self):
+        return (DerivedDataCache, ())
+
+    def __setstate__(self, state: object) -> None:
+        # Networks pickled by older versions carry the memo with per-entry
+        # dirty sets and hit counters; it is dropped, not restored.
+        self._values = {}
 
     def get(self, key: object) -> Optional[object]:
-        """The clean value for ``key``, or ``None`` when absent or dirty."""
-        if self._dirty.get(key):
-            self.misses += 1
-            return None
-        value = self._values.get(key)
-        if value is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return value
+        """The value stored for ``key``, or ``None``."""
+        return self._values.get(key)
 
     def put(self, key: object, value: object) -> None:
-        """Store ``value`` for ``key`` and reset its dirty set."""
+        """Store ``value`` for ``key``."""
         self._values[key] = value
-        self._dirty[key] = set()
-
-    def __setitem__(self, key: object, value: object) -> None:
-        self.put(key, value)
-
-    def entry(self, key: object) -> Optional[Tuple[object, Set[NodeId]]]:
-        """``(value, dirty_node_ids)`` for self-patching consumers, or ``None``."""
-        if key not in self._values:
-            self.misses += 1
-            return None
-        if self._dirty[key]:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return self._values[key], self._dirty[key]
-
-    def mark_dirty(self, node_id: NodeId) -> None:
-        """Record that ``node_id`` changed since every stored entry."""
-        for dirty in self._dirty.values():
-            dirty.add(node_id)
 
     def clear(self) -> None:
-        """Drop every entry (wholesale invalidation)."""
+        """Drop every entry."""
         self._values.clear()
-        self._dirty.clear()
 
     def __len__(self) -> int:
         return len(self._values)
@@ -100,10 +69,10 @@ class Network:
     set or any node's position/liveness changes — nodes notify the network
     through the watcher registered on them, and
     :meth:`add_node`/:meth:`remove_node` report directly — the matching
-    delta update is applied to the index, the per-entry dirty sets of the
-    :class:`DerivedDataCache` grow, and every registered dirty listener
-    records the node ID.  Every range query, and every construction built on
-    them, goes through this index.
+    delta update is applied to the index, the :class:`DerivedDataCache` is
+    cleared, and every registered dirty listener records the node ID.
+    Every range query, and every construction built on them, goes through
+    this index.
     """
 
     def __init__(
@@ -221,7 +190,7 @@ class Network:
             pass
 
     def _mark_dirty(self, node_id: NodeId) -> None:
-        self._derived_cache.mark_dirty(node_id)
+        self._derived_cache.clear()
         for listener in self._dirty_listeners:
             listener.add(node_id)
 
@@ -241,7 +210,7 @@ class Network:
         """Drop the cached index (for callers that mutate positions directly).
 
         Such callers bypass the node watchers, so every node is conservatively
-        marked dirty for listeners and the derived cache is cleared wholesale.
+        marked dirty for listeners and the derived cache is cleared.
         """
         self._spatial_index = None
         self._derived_cache.clear()
@@ -250,14 +219,10 @@ class Network:
 
     @property
     def derived_cache(self) -> DerivedDataCache:
-        """Cache for data derived from current positions/liveness.
+        """Memo for data derived from current positions/liveness.
 
-        Entries track which nodes changed since they were stored
-        (:class:`DerivedDataCache`): plain :meth:`~DerivedDataCache.get`
-        treats a dirty entry as a miss, while per-region consumers use
-        :meth:`~DerivedDataCache.entry` to patch just the dirty
-        neighbourhoods.  Entries must be keyed on everything else they
-        depend on.
+        Cleared on every node change (:class:`DerivedDataCache`).  Entries
+        must be keyed on everything else they depend on.
         """
         return self._derived_cache
 

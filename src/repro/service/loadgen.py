@@ -598,7 +598,6 @@ def _metrics_report(
             "p99": ((wait.percentile(0.99) if wait else None) or 0.0) * 1000.0,
         },
         "cache_hit_rates": {
-            "derived_cache": rate("cache.derived"),
             "frontend_read_cache": rate("server.read_cache"),
         },
         "server": server,

@@ -144,8 +144,7 @@ class World:
         # pickled — see __getstate__ — the listener closes over the host).
         self._sync_listener: Optional[Callable[[], None]] = None
         # The reconcile feed: every node move/crash/recover/add/remove
-        # lands this world's ID set — the same hook the manager and the
-        # derived-data cache consume.
+        # lands this world's ID set — the same hook the manager consumes.
         self._dirty = self.network.register_dirty_listener()
         self.writes_applied = 0
         # Idempotency tokens of writes already applied to this world, with
@@ -1057,7 +1056,7 @@ class WorldHost:
     def metrics_snapshot(self) -> Dict[str, Any]:
         """This shard's registry snapshot with live-world counters folded in.
 
-        Cache/pipeline counters live on the world objects themselves (plain
+        Pipeline counters live on the world objects themselves (plain
         ints — the hot paths never touch a registry), so they are summed
         here at observation time.  Evicted worlds carry their counters in
         their pickles and drop out of the totals until rehydrated; the
@@ -1070,8 +1069,6 @@ class WorldHost:
             "host.rehydrations": self.rehydrations,
         }
         sums = {
-            "cache.derived.hits": 0,
-            "cache.derived.misses": 0,
             "spatial.neighbor_queries": 0,
             "spatial.pair_queries": 0,
             "topology.full_builds": 0,
@@ -1085,9 +1082,6 @@ class WorldHost:
         for world in self.worlds.values():
             if world._tracker is not None:
                 sums["subs.tracked"] += 1
-            derived = world.network.derived_cache
-            sums["cache.derived.hits"] += derived.hits
-            sums["cache.derived.misses"] += derived.misses
             neighbor_queries, pair_queries = world.network.spatial_query_counts()
             sums["spatial.neighbor_queries"] += neighbor_queries
             sums["spatial.pair_queries"] += pair_queries

@@ -1,9 +1,10 @@
 """Tests for the incremental topology pipeline (repro.core.incremental).
 
-The contract under test: ``update_topology`` / ``IncrementalTopologyBuilder``
-produce results **byte-identical** (via ``repro.io`` serialization) to a
-from-scratch ``build_topology`` after any sequence of moves, crashes,
-recoveries and joins.
+The contract under test: ``IncrementalTopologyBuilder``, fed the CBTC
+states a ``ReconfigurationManager`` maintains, produces results
+**byte-identical** (via ``repro.io`` serialization) to a from-scratch
+``build_topology(outcome=...)`` on the same states after any sequence of
+moves, crashes, recoveries and joins.
 """
 
 import copy
@@ -15,7 +16,7 @@ import random
 import pytest
 
 from repro.core.incremental import IncrementalTopologyBuilder
-from repro.core.pipeline import OptimizationConfig, build_topology, update_topology
+from repro.core.pipeline import OptimizationConfig, build_topology
 from repro.core.reconfiguration import ReconfigurationManager
 from repro.geometry import Point
 from repro.io.results import results_to_json
@@ -54,114 +55,112 @@ def _perturb(network, side, rng, movers=4):
     return dirty
 
 
+class _Managed:
+    """A network, the manager maintaining its CBTC states, and a builder fed
+    the manager's outcome the way ``ReconfigurationManager.topology`` feeds
+    its own."""
+
+    def __init__(self, node_count=120, seed=3, *, alpha=ALPHA, config=OptimizationConfig.none()):
+        self.network, self.side = _drift_network(node_count, seed)
+        self.alpha, self.config = alpha, config
+        self.manager = ReconfigurationManager(self.network, alpha)
+        self.manager.synchronize()  # the first call completes every node's knowledge
+        self.manager._touched.clear()
+        self._changed = self.network.register_dirty_listener()
+        self.builder = IncrementalTopologyBuilder(self.network, alpha, config=config)
+        self.result = self.builder.rebuild(self.manager.outcome)
+
+    def update(self):
+        """Synchronize the states, then splice every changed node in."""
+        self.manager.synchronize(max_iterations=40)
+        dirty = self._changed | self.manager._touched
+        self._changed.clear()
+        self.manager._touched.clear()
+        self.result = self.builder.update(dirty, self.manager.outcome)
+        return self.result
+
+    def fresh(self):
+        return build_topology(
+            self.network, self.alpha, config=self.config, outcome=self.manager.outcome
+        )
+
+
 class TestUpdateTopologyEquivalence:
     @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.describe())
     def test_moves_splice_byte_identically(self, config):
         alpha = 2 * math.pi / 3 if config.asymmetric_removal else ALPHA
-        network, side = _drift_network()
+        world = _Managed(alpha=alpha, config=config)
+        assert results_to_json(world.result) == results_to_json(world.fresh())
         rng = random.Random(0)
-        result = update_topology(network, alpha, None, [], config=config)
-        assert results_to_json(result) == results_to_json(
-            build_topology(network, alpha, config=config)
-        )
         for _ in range(5):
-            dirty = _perturb(network, side, rng)
-            result = update_topology(network, alpha, result, dirty, config=config)
-            assert results_to_json(result) == results_to_json(
-                build_topology(network, alpha, config=config)
-            )
+            _perturb(world.network, world.side, rng)
+            assert results_to_json(world.update()) == results_to_json(world.fresh())
+        assert world.builder.incremental_updates >= 1
 
     def test_crash_recover_and_join_splice_byte_identically(self):
-        network, side = _drift_network()
+        world = _Managed(config=OptimizationConfig.all())
+        network, side = world.network, world.side
         rng = random.Random(1)
-        result = update_topology(network, ALPHA, None, [], config=OptimizationConfig.all())
         victim = network.node_ids[7]
         schedule = [
-            lambda: (network.node(victim).crash(), {victim})[1],
+            lambda: network.node(victim).crash(),
             lambda: _perturb(network, side, rng),
-            lambda: (network.node(victim).recover(), {victim})[1],
-            lambda: (
-                network.add_node(Node(node_id=9000, position=Point(side / 2, side / 2))),
-                {9000},
-            )[1],
-            lambda: _perturb(network, side, rng) | {9000},
+            lambda: network.node(victim).recover(),
+            lambda: network.add_node(Node(node_id=9000, position=Point(side / 2, side / 2))),
+            lambda: _perturb(network, side, rng),
         ]
         for step in schedule:
-            dirty = step()
-            result = update_topology(
-                network, ALPHA, result, dirty, config=OptimizationConfig.all()
-            )
-            assert results_to_json(result) == results_to_json(
-                build_topology(network, ALPHA, config=OptimizationConfig.all())
-            )
+            step()
+            assert results_to_json(world.update()) == results_to_json(world.fresh())
+        assert world.builder.incremental_updates >= 1
 
     def test_empty_dirty_set_returns_previous_result(self):
-        network, _ = _drift_network(node_count=40)
-        result = update_topology(network, ALPHA, None, [], config=OptimizationConfig.none())
-        again = update_topology(network, ALPHA, result, [], config=OptimizationConfig.none())
-        assert again is result
+        world = _Managed(node_count=40)
+        assert world.builder.update([], world.manager.outcome) is world.result
+        assert world.update() is world.result
 
     def test_builder_state_never_leaks_into_serialization(self):
-        network, _ = _drift_network(node_count=30)
-        result = update_topology(network, ALPHA, None, [], config=OptimizationConfig.none())
-        assert hasattr(result, "incremental_builder")
-        assert "incremental_builder" not in results_to_json(result)
+        world = _Managed(node_count=30)
+        assert results_to_json(world.result) == results_to_json(world.fresh())
+        assert all(value is not world.builder for value in vars(world.result).values())
 
     def test_config_change_reprimes_with_full_build(self):
         network, _ = _drift_network(node_count=40)
-        result = update_topology(network, ALPHA, None, [], config=OptimizationConfig.none())
-        builder = result.incremental_builder
-        switched = update_topology(
-            network, ALPHA, result, [], config=OptimizationConfig.shrink_only()
-        )
-        assert switched.incremental_builder is not builder
+        manager = ReconfigurationManager(network, ALPHA)
+        manager.synchronize()
+        manager.topology(config=OptimizationConfig.none())
+        builder = manager._builder
+        switched = manager.topology(config=OptimizationConfig.shrink_only())
+        assert manager._builder is not builder
+        assert manager._builder.full_builds == 1
         assert results_to_json(switched) == results_to_json(
-            build_topology(network, ALPHA, config=OptimizationConfig.shrink_only())
+            build_topology(
+                network, ALPHA, config=OptimizationConfig.shrink_only(), outcome=manager.outcome
+            )
         )
 
 
 class TestFallbacks:
     def test_large_dirty_region_falls_back_to_full_rebuild(self):
-        network, side = _drift_network(node_count=40)
-        result = update_topology(network, ALPHA, None, [], config=OptimizationConfig.none())
-        builder = result.incremental_builder
-        dirty = {node.node_id for node in network.nodes}
-        for node_id in list(dirty):
-            node = network.node(node_id)
+        world = _Managed(node_count=40)
+        for node in world.network.nodes:
             node.move_to(Point(node.position.x + 5.0, node.position.y))
-        updated = update_topology(network, ALPHA, result, dirty, config=OptimizationConfig.none())
-        assert builder.full_builds == 2
-        assert results_to_json(updated) == results_to_json(
-            build_topology(network, ALPHA, config=OptimizationConfig.none())
-        )
+        updated = world.update()
+        assert world.builder.full_builds == 2
+        assert world.builder.fallbacks == 1
+        assert results_to_json(updated) == results_to_json(world.fresh())
 
 
 class TestManagerDrivenBuilder:
     """The builder consuming reconfiguration-manager-maintained states."""
 
     def test_manager_outcome_splice_matches_full_build(self):
-        network, side = _drift_network(node_count=150, seed=11)
-        manager = ReconfigurationManager(network, ALPHA)
-        builder = IncrementalTopologyBuilder(
-            network, ALPHA, config=OptimizationConfig.shrink_only()
-        )
-        dirty = network.register_dirty_listener()
-        builder.rebuild(outcome=manager.outcome)
+        world = _Managed(node_count=150, seed=11, config=OptimizationConfig.shrink_only())
         rng = random.Random(5)
         for _ in range(4):
-            _perturb(network, side, rng, movers=6)
-            manager.synchronize(max_iterations=40)
-            result = builder.update(dirty | manager._touched, outcome=manager.outcome)
-            manager._touched.clear()
-            dirty.clear()
-            full = build_topology(
-                network,
-                ALPHA,
-                config=OptimizationConfig.shrink_only(),
-                outcome=manager.outcome,
-            )
-            assert results_to_json(result) == results_to_json(full)
-        assert builder.incremental_updates >= 1
+            _perturb(world.network, world.side, rng, movers=6)
+            assert results_to_json(world.update()) == results_to_json(world.fresh())
+        assert world.builder.incremental_updates >= 1
 
 
 class TestSharedBaseGraph:
@@ -202,6 +201,7 @@ class TestSharedBaseGraph:
         builder._raw = manager.outcome.copy()
         manager._last_result = builder._result
         network, manager = pickle.loads(pickle.dumps((network, manager)))
+        assert not hasattr(manager._builder, "_raw")
         rng, twin_rng = random.Random(9), random.Random(9)
         for _ in range(3):
             _perturb(network, side, rng)
@@ -212,26 +212,6 @@ class TestSharedBaseGraph:
                 twin.topology(config=config)
             )
         assert manager.incremental_updates == twin.incremental_updates == 3
-
-
-class TestModeSwitching:
-    def test_switching_outcome_modes_reprimes_instead_of_mixing(self):
-        network, side = _drift_network(node_count=60)
-        manager = ReconfigurationManager(network, ALPHA)
-        builder = IncrementalTopologyBuilder(network, ALPHA, config=OptimizationConfig.none())
-        builder.rebuild(outcome=manager.outcome)
-        dirty = _perturb(network, side, random.Random(8))
-        manager.synchronize()
-        builder.update(dirty | manager._touched, outcome=manager.outcome)
-        builds_before = builder.full_builds
-        # Same builder, now without an external outcome: must re-prime (it
-        # holds no self-run CBTC states to splice into) and then still match
-        # a from-scratch build.
-        result = builder.update({network.node_ids[0]})
-        assert builder.full_builds == builds_before + 1
-        assert results_to_json(result) == results_to_json(
-            build_topology(network, ALPHA, config=OptimizationConfig.none())
-        )
 
 
 class TestManagerHygiene:

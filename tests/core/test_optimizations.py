@@ -19,10 +19,12 @@ from repro.core.optimizations import (
 )
 from repro.core.state import CBTCOutcome, NeighborRecord, NodeState
 from repro.core.topology import symmetric_closure_graph
-from repro.core.analysis import preserves_connectivity
+from repro.core.analysis import preserves_connectivity, preserves_max_power_connectivity
+from repro.core.pipeline import OptimizationConfig, build_topology
 from repro.geometry import Point
 from repro.geometry.angles import TWO_PI, cover
 from repro.net.network import Network
+from repro.net.placement import PlacementConfig, random_uniform_placement
 from repro.radio import PathLossModel, PowerModel
 
 ALPHA = 5 * math.pi / 6
@@ -353,6 +355,40 @@ class TestPairwiseEdgeRemoval:
         graph = network.max_power_graph()
         pruned = pairwise_edge_removal(graph, network)
         assert set(pruned.edges) == set(graph.edges)
+
+    def test_coincident_neighbor_keeps_a_path(self):
+        # Nodes 0 and 1 share a position, so the edge between them has no
+        # direction.  Taken as direction 0.0 it witnessed both edges to node
+        # 2 redundant and cut node 2 off.  Only (1, 2) goes: the path 1-0-2
+        # uses smaller edge IDs, while 0-1-2 would not.
+        network = _network([Point(0, 0), Point(0, 0), Point(1, 0)], max_range=2.0)
+        graph = network.max_power_graph()
+        assert redundant_edges(graph, network) == {(1, 2)}
+        for remove_all in (False, True):
+            pruned = pairwise_edge_removal(graph, network, remove_all=remove_all)
+            assert preserves_connectivity(graph, pruned)
+
+    def test_nearly_coincident_witness_keeps_a_path(self):
+        # Node 2 sits 5e-324 above node 0, so d(0, 1) and d(2, 1) are the same
+        # float.  Node 0 sees 2 straight towards 1, and node 1 sees 0 and 2 in
+        # one direction; taking both as witnesses removed both edges to 1.
+        network = _network([Point(0, 0), Point(0, 1), Point(0, 5e-324)], max_range=2.0)
+        assert network.distance(0, 1) == network.distance(2, 1)
+        graph = network.max_power_graph()
+        assert redundant_edges(graph, network) == {(1, 2)}
+        for remove_all in (False, True):
+            pruned = pairwise_edge_removal(graph, network, remove_all=remove_all)
+            assert preserves_connectivity(graph, pruned)
+
+    @pytest.mark.parametrize("alpha", [ALPHA, ALPHA_NARROW])
+    def test_coincident_nodes_keep_connectivity(self, alpha):
+        for config in (OptimizationConfig(pairwise_removal=True), OptimizationConfig.all()):
+            for seed in range(1, 40):
+                network = random_uniform_placement(PlacementConfig(node_count=8), seed=seed)
+                for node_id in network.node_ids[:2]:
+                    network.node(node_id).move_to(Point(0.0, 0.0))
+                result = build_topology(network, alpha, config=config)
+                assert preserves_max_power_connectivity(network, result.graph), (config, seed)
 
     def test_default_threshold_matches_paper_constant(self):
         assert PAIRWISE_ANGLE_THRESHOLD == pytest.approx(math.pi / 3)

@@ -1,9 +1,11 @@
 """Tests for repro.net.network."""
 
 import math
+import pickle
 
 import pytest
 
+from repro.core.cbtc import _all_sorted_candidates
 from repro.geometry import Point
 from repro.net.network import Network
 from repro.net.node import Node
@@ -151,7 +153,7 @@ class TestDirtyTracking:
         dirty = network.register_dirty_listener()
         index = network.spatial_index()
         cache = network.derived_cache
-        cache["probe"] = "value"
+        cache.put("probe", "value")
         network.node(0).move_to(Point(0.0, 0.0))  # unchanged position
         assert dirty == set()
         assert network.spatial_index() is index
@@ -161,7 +163,7 @@ class TestDirtyTracking:
         network = self._network()
         index = network.spatial_index()
         cache = network.derived_cache
-        cache["probe"] = "value"
+        cache.put("probe", "value")
         network.node(0).move_to(Point(500.0, 500.0))
         # The index object is patched in place, not discarded...
         assert network.spatial_index() is index
@@ -172,11 +174,9 @@ class TestDirtyTracking:
         assert index.neighbors_within(Point(500, 500), 250.0) == fresh.neighbors_within(
             Point(500, 500), 250.0
         )
-        # Plain get() treats the dirty entry as a miss (legacy semantics)...
+        # The derived-data memo is dropped.
         assert cache.get("probe") is None
-        # ...while self-patching consumers can read the value plus its dirty set.
-        value, dirty = cache.entry("probe")
-        assert value == "value" and dirty == {0}
+        assert len(cache) == 0
 
     def test_crash_and_recover_patch_index_membership(self):
         network = self._network()
@@ -187,29 +187,31 @@ class TestDirtyTracking:
         assert 2 in index
         assert network.spatial_index() is index
 
-    def test_cbtc_candidate_cache_patches_to_fresh_values(self):
-        import math
-        from repro.core.cbtc import _all_sorted_candidates
+    def test_cbtc_candidate_memo_is_dropped_by_every_change(self):
+        network = self._network()
+        changes = [
+            lambda: network.node(0).move_to(Point(5.0, 5.0)),
+            lambda: network.node(1).crash(),
+            lambda: network.node(1).recover(),
+            lambda: network.add_node(Node(node_id=9, position=Point(50.0, 50.0))),
+            lambda: network.remove_node(9),
+        ]
+        memo = _all_sorted_candidates(network)
+        assert _all_sorted_candidates(network) is memo  # unchanged network: a hit
+        for change in changes:
+            change()
+            assert len(network.derived_cache) == 0
+            fresh = network.copy()
+            memo = _all_sorted_candidates(network)
+            assert {
+                node_id: [(required, other.node_id, dist) for required, other, dist in items]
+                for node_id, items in memo.items()
+            } == {
+                node_id: [(required, other.node_id, dist) for required, other, dist in items]
+                for node_id, items in _all_sorted_candidates(fresh).items()
+            }
 
-        side = 1500.0 * math.sqrt(2.0)
-        from repro.net.placement import PlacementConfig, random_uniform_placement
-
-        network = random_uniform_placement(
-            PlacementConfig(node_count=200, width=side, height=side), seed=4
-        )
-        before = _all_sorted_candidates(network)
-        assert _all_sorted_candidates(network) is before  # clean cache hit
-        network.node(7).move_to(Point(side / 2, side / 2))
-        network.node(11).crash()
-        patched = _all_sorted_candidates(network)
-        fresh = random_uniform_placement(
-            PlacementConfig(node_count=200, width=side, height=side), seed=4
-        )
-        fresh.node(7).move_to(Point(side / 2, side / 2))
-        fresh.node(11).crash()
-        rebuilt = _all_sorted_candidates(fresh)
-        assert set(patched) == set(rebuilt)
-        for node_id, items in rebuilt.items():
-            assert [
-                (required, other.node_id, dist) for required, other, dist in patched[node_id]
-            ] == [(required, other.node_id, dist) for required, other, dist in items]
+    def test_derived_cache_never_rides_a_pickle(self):
+        network = self._network()
+        network.derived_cache.put("probe", "value")
+        assert len(pickle.loads(pickle.dumps(network)).derived_cache) == 0

@@ -16,7 +16,9 @@ Three layers of assurance, mirroring the design's trust chain:
   hanging forever (the regression that motivated this PR).
 """
 
+import os
 import pickle
+import shutil
 import sqlite3
 import threading
 from types import SimpleNamespace
@@ -26,8 +28,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.io.results import canonical_json
+from repro.net import network as network_module
 from repro.service import protocol
 from repro.service import worlds as worlds_module
+from repro.service.loadgen import LoadConfig, serial_reference
 from repro.service.replay import ShardedReplayer, collect_snapshots, replay_serial
 from repro.service.sharding import HashRing
 from repro.service.storage import (
@@ -526,6 +530,95 @@ class TestCheckpointContents:
         finally:
             recovered.close()
             recovered.store.close()
+
+
+class _OldDerivedDataCache:
+    """``repro.net.network.DerivedDataCache`` as older versions pickled it:
+    per-entry dirty sets and lookup counters beside the values.  Pickles
+    under the real class's name while patched into its module."""
+
+    __module__ = network_module.__name__
+    __qualname__ = "DerivedDataCache"
+    __slots__ = ("_values", "_dirty", "hits", "misses")
+
+
+#: The state directory under ``golden-state/``: written by ``cbtc serve
+#: --shards 2 --state-dir DIR --snapshot-every 4`` under ``cbtc load
+#: --worlds 3 --requests 14 --nodes 24 --subscribers 1`` (seed 0), with the
+#: server and its workers then killed with SIGKILL, so every world's log
+#: runs past its last checkpoint.  It was written before the topology
+#: builder's self-run mode and the candidate-patching cache were removed.
+GOLDEN_STATE = os.path.join(os.path.dirname(__file__), "golden-state")
+GOLDEN_LOAD = LoadConfig(worlds=3, requests_per_world=14, nodes=24, subscribers=1)
+GOLDEN_SHARDS = 2
+
+
+class TestOldState:
+    def test_retired_builder_and_cache_state_is_dropped(self, monkeypatch):
+        """Worlds checkpointed with the builder's self-run attributes and the
+        old derived-data cache recover without them and continue
+        byte-identically."""
+        trace = build_trace(21, 6, node_count=15)
+        half = len(trace) // 2
+        store = MemoryStore()
+        host = WorldHost(store=store, snapshot_every=3)
+        for request in trace[:half]:
+            assert host.execute(request)["ok"]
+        assert host.worlds
+        for world in host.worlds.values():
+            builder = world.manager._builder
+            builder.schedule = None
+            builder._raw = world.manager.outcome.copy()
+            builder._positions = {node.node_id: node.position for node in world.network.nodes}
+            builder._external_outcome = True
+            old = _OldDerivedDataCache()
+            old._values = {"probe": [1, 2, 3]}
+            old._dirty = {"probe": {0}}
+            old.hits, old.misses = 0, 1
+            world.network._derived_cache = old
+        with monkeypatch.context() as patch:
+            patch.setattr(network_module, "DerivedDataCache", _OldDerivedDataCache)
+            host.close()  # checkpoints every live world
+
+        recovered = WorldHost(store=store, snapshot_every=3)
+        try:
+            recovered.recover()
+            for world_id in sorted(recovered.world_ids()):
+                world = recovered._world(world_id)
+                for key in ("schedule", "_raw", "_positions", "_external_outcome"):
+                    assert not hasattr(world.manager._builder, key)
+                cache = world.network.derived_cache
+                assert type(cache) is network_module.DerivedDataCache and len(cache) == 0
+            for request in trace[half:]:
+                assert recovered.execute(request)["ok"]
+            assert collect_snapshots(recovered) == replay_serial(trace)
+        finally:
+            recovered.close()
+
+    def test_golden_state_directory_recovers_byte_identically(self, tmp_path):
+        """A committed state directory written by an older version recovers,
+        replaying the log records past each checkpoint, to what a serial
+        replay of the same trace serves."""
+        state_dir = str(tmp_path / "state")
+        shutil.copytree(GOLDEN_STATE, state_dir)
+        snapshots = {}
+        for shard in range(GOLDEN_SHARDS):
+            path = shard_db_path(state_dir, shard)
+            connection = sqlite3.connect(path)
+            past_checkpoint = connection.execute(
+                "SELECT count(*) FROM log JOIN checkpoints USING (world)"
+                " WHERE log.seq > checkpoints.seq"
+            ).fetchone()[0]
+            connection.close()
+            assert past_checkpoint > 0
+            host = WorldHost(store=SqliteStore(path), snapshot_every=4)
+            try:
+                assert host.recover() > 0
+                snapshots.update(collect_snapshots(host))
+            finally:
+                host.close(flush=False)
+                host.store.close()
+        assert snapshots == serial_reference(GOLDEN_LOAD)
 
 
 # --------------------------------------------------------------------- #
