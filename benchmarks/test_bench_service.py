@@ -2,15 +2,14 @@
 
 Two measurements, both over the load generator's deterministic mixed
 read/write workload (95/5 read/write serving mix, hot route/traffic keys,
-5% movers — the regime the read cache and the incremental dirty-set
-pipeline serve):
+5% movers — the regime the read cache and the topology memo serve):
 
 * **engine cells** (8 / 32 / 64 worlds) — the sharded serving engine
   driven directly (no sockets): worlds are provisioned in an untimed setup
   phase, then the steady-state workload is replayed through the consistent-
   hash shard executor in batches.  The *cached* arm is the real serving
   path (the front end's read cache, consulted as each shard dequeues, +
-  incremental topology splicing); the *naive* arm is the
+  the manager's topology memo); the *naive* arm is the
   one-request-one-rebuild baseline (full ``build_topology`` per request,
   no cache).  The acceptance bar — **cached ≥ 3× naive requests/sec at 32
   worlds** — is asserted here, beside read-cache hits on the cached arm
@@ -20,7 +19,7 @@ pipeline serve):
   reporting requests/sec and p50/p95 latency for both arms.
 
 Every cell also asserts the two arms' final world snapshots are
-byte-identical — the read cache and the incremental pipeline are
+byte-identical — the read cache and the topology memo are
 optimizations, not approximations.
 
 Run with ``--benchmark-json`` to archive the cached-arm timings (the CI

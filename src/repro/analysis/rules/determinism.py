@@ -131,7 +131,7 @@ class SetIterationRule(Rule):
     ``yield`` or serialization, two equal networks can produce different
     bytes.  Dict views are insertion-ordered, so they are only flagged
     when feeding edge construction or serialization directly (their
-    insertion order diverges between incremental and full-rebuild paths).
+    insertion order follows the history of the data).
     """
 
     rule_id = "det-set-iteration"

@@ -47,7 +47,6 @@ from repro.core.optimizations import (
     edge_id,
 )
 from repro.core.pipeline import build_topology, OptimizationConfig
-from repro.core.incremental import IncrementalTopologyBuilder
 from repro.core.counterexamples import (
     asymmetry_example,
     disconnection_example,
@@ -92,7 +91,6 @@ __all__ = [
     "redundant_edges",
     "edge_id",
     "build_topology",
-    "IncrementalTopologyBuilder",
     "OptimizationConfig",
     "asymmetry_example",
     "disconnection_example",

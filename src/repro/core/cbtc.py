@@ -64,18 +64,9 @@ def _all_sorted_candidates(network: Network) -> dict:
 
     A single ``pairs_within(max_range)`` enumeration computes each pairwise
     distance (and its required power) once and credits it to both endpoints,
-    halving the distance work of querying per node.  The result is memoized
-    in the network's derived cache, so repeated CBTC runs over an unchanged
-    network — Table 1 evaluates four optimization configs per network,
-    sweeps run many alphas — skip the enumeration entirely.  The network
-    drops the memo on any node change.
+    halving the distance work of querying per node.
     """
     power_model = network.power_model
-    cache = network.derived_cache
-    cache_key = ("cbtc_sorted_candidates", power_model)
-    adjacency = cache.get(cache_key)
-    if adjacency is not None:
-        return adjacency
     required_power = power_model.required_power
     alive = [node for node in network.nodes if node.alive]
     nodes_by_id = {node.node_id: node for node in alive}
@@ -86,7 +77,6 @@ def _all_sorted_candidates(network: Network) -> dict:
         adjacency[v].append((required, nodes_by_id[u], dist))
     for items in adjacency.values():
         items.sort(key=lambda item: (item[0], item[1].node_id))
-    cache.put(cache_key, adjacency)
     return adjacency
 
 

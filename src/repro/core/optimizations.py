@@ -236,9 +236,7 @@ def redundant_edges_from_node(
     ``angle(v, u, w) < pi/3``, ``eid(u, w) < eid(u, v)`` and (implied in
     exact geometry) ``eid(w, v) < eid(u, v)``.  The scan
     depends only on ``u``'s adjacency and the current positions of ``u`` and
-    its neighbours, which is the locality the incremental pipeline exploits:
-    after a mobility/churn delta it rescans only the nodes whose inputs
-    changed.  Returned edges are normalized as ``(min, max)`` pairs.
+    its neighbours.  Returned edges are normalized as ``(min, max)`` pairs.
     """
     node_of = network.node
     redundant: Set[Tuple[NodeId, NodeId]] = set()

@@ -25,7 +25,12 @@ from repro.core.constants import ALPHA_ASYMMETRIC_REMOVAL_THRESHOLD
 from repro.core.cbtc import run_cbtc
 from repro.core.optimizations import pairwise_edge_removal, shrink_back
 from repro.core.state import CBTCOutcome
-from repro.core.topology import TopologyResult, per_node_radius, topology_from_outcome
+from repro.core.topology import (
+    TopologyResult,
+    per_node_radius,
+    symmetric_closure_graph,
+    symmetric_subset_graph,
+)
 
 
 @dataclass(frozen=True)
@@ -111,18 +116,15 @@ def build_topology(
     config = config if config is not None else OptimizationConfig.none()
     if outcome is None:
         outcome = run_cbtc(network, alpha, schedule=schedule)
-    working = outcome
-
-    if config.shrink_back:
-        working = shrink_back(working)
+    working = shrink_back(outcome) if config.shrink_back else outcome
 
     apply_asymmetric = (
         config.asymmetric_removal and alpha <= ALPHA_ASYMMETRIC_REMOVAL_THRESHOLD + 1e-12
     )
-    symmetric_mode = "subset" if apply_asymmetric else "closure"
-    result = topology_from_outcome(working, network, symmetric=symmetric_mode)
-
-    graph = result.graph
+    if apply_asymmetric:
+        graph = symmetric_subset_graph(working, network)
+    else:
+        graph = symmetric_closure_graph(working, network)
     if config.pairwise_removal:
         graph = pairwise_edge_removal(graph, network, remove_all=config.pairwise_remove_all)
 

@@ -40,7 +40,6 @@ from repro.core.optimizations import shrink_back_node
 from repro.core.pipeline import OptimizationConfig, build_topology
 from repro.core.state import CBTCOutcome, NeighborRecord, NodeState
 from repro.core.topology import TopologyResult
-from repro.obs.metrics import COUNT_BUCKETS, Histogram
 
 
 @dataclass(frozen=True)
@@ -223,6 +222,11 @@ class _BeaconPowers:
         return changed
 
 
+#: Attributes of the incremental topology builder that older managers
+#: pickled; see ``ReconfigurationManager.__setstate__``.
+_RETIRED_STATE = ("_retired_incremental_updates", "_retired_fallbacks", "_retired_dirty_hist")
+
+
 class ReconfigurationManager:
     """Maintains per-node CBTC state across joins, leaves and movement."""
 
@@ -257,19 +261,14 @@ class ReconfigurationManager:
         for state in self.outcome:
             for neighbor in state.neighbor_ids:
                 self._known.setdefault(neighbor, set()).add(state.node_id)
-        # Dirty bookkeeping for the incremental topology pipeline: every
-        # node whose CBTC state this manager rewrites lands in ``_touched``,
-        # and the network feeds every geometric change (move/crash/recover/
-        # add/remove) into the registered listener.  ``topology()`` consumes
-        # both sets; while they stay empty the memoized result is returned
-        # untouched.
+        # Dirty bookkeeping for the topology memo: every node whose CBTC
+        # state this manager rewrites lands in ``_touched``, and the network
+        # feeds every geometric change (move/crash/recover/add/remove) into
+        # the registered listener.  While both sets stay empty ``topology()``
+        # returns the memoized result untouched.
         self._touched: Set[NodeId] = set()
         self._net_dirty: Set[NodeId] = network.register_dirty_listener()
-        self._builder = None
         self._full_builds = 0
-        self._retired_incremental_updates = 0
-        self._retired_fallbacks = 0
-        self._retired_dirty_hist = Histogram(COUNT_BUCKETS)
         self._last_result: Optional[TopologyResult] = None
         self._last_config: Optional[OptimizationConfig] = None
 
@@ -286,16 +285,16 @@ class ReconfigurationManager:
         """
         self.network.unregister_dirty_listener(self._net_dirty)
 
-    def _retire_builder(self) -> None:
-        """Fold the current builder's work counters into the manager's own,
-        so ``topology_builds``/``incremental_updates`` stay monotone across
-        builder replacements (config changes, incremental=False switches)."""
-        if self._builder is not None:
-            self._full_builds += self._builder.full_builds
-            self._retired_incremental_updates += self._builder.incremental_updates
-            self._retired_fallbacks += self._builder.fallbacks
-            self._retired_dirty_hist.merge(self._builder.dirty_size_hist)
-            self._builder = None
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        # Managers pickled by older versions carry an incremental topology
+        # builder and the counters of retired ones.  Only the builder's
+        # full-build count is kept, so ``topology_builds`` stays monotone.
+        builder = state.pop("_builder", None)
+        if builder is not None:
+            state["_full_builds"] += builder.full_builds
+        for key in _RETIRED_STATE:
+            state.pop(key, None)
+        self.__dict__.update(state)
 
     # ------------------------------------------------------------------ #
     # Event application (the paper's three rules)
@@ -595,8 +594,8 @@ class ReconfigurationManager:
                 )
             elif abs(distance - recorded.distance) > 1e-9:
                 # A silent distance refresh still rewrites the record, so the
-                # incremental topology pipeline must see this node as touched
-                # even though no event is emitted.
+                # topology memo must see this node as touched even though no
+                # event is emitted.
                 self._touched.add(observer)
                 required = power_model.required_power(distance)
                 neighbors[neighbor_id] = NeighborRecord(
@@ -667,78 +666,46 @@ class ReconfigurationManager:
     @property
     def topology_builds(self) -> int:
         """How many full pipeline builds ``topology()`` has performed (monotone)."""
-        return self._full_builds + (self._builder.full_builds if self._builder else 0)
+        return self._full_builds
 
+    # Kept for the benchmark harness, which reads both; they go with it in
+    # the benchmark change (ROADMAP, item 1).
     @property
     def incremental_updates(self) -> int:
-        """How many incremental splices ``topology()`` has performed (monotone)."""
-        return self._retired_incremental_updates + (
-            self._builder.incremental_updates if self._builder else 0
-        )
+        """Always 0: ``topology()`` no longer splices."""
+        return 0
 
     @property
     def rebuild_fallbacks(self) -> int:
-        """How often splicing was abandoned for a full rebuild (monotone)."""
-        return self._retired_fallbacks + (self._builder.fallbacks if self._builder else 0)
+        """Always 0: ``topology()`` no longer splices."""
+        return 0
 
-    def dirty_size_histogram(self) -> Histogram:
-        """Merged per-update dirty-set-size distribution (telemetry only)."""
-        merged = Histogram(COUNT_BUCKETS)
-        merged.merge(self._retired_dirty_hist)
-        if self._builder is not None:
-            merged.merge(self._builder.dirty_size_hist)
-        return merged
-
-    def topology(
-        self,
-        *,
-        config: Optional[OptimizationConfig] = None,
-        incremental: bool = True,
-    ) -> TopologyResult:
+    def topology(self, *, config: Optional[OptimizationConfig] = None) -> TopologyResult:
         """Build the current controlled topology from the maintained states.
 
         The result is memoized on a clean/dirty flag: when no event has been
         applied and no node has moved, crashed, recovered, joined or left
         since the last call (and the optimization config is unchanged), the
         previous :class:`TopologyResult` is returned untouched — no pipeline
-        work at all.  Otherwise, with ``incremental=True`` (the default) the
-        dirty node set is spliced into the previous result through
-        :class:`~repro.core.incremental.IncrementalTopologyBuilder`;
-        ``incremental=False`` forces the historic from-scratch
-        :func:`~repro.core.pipeline.build_topology` (both produce
-        byte-identical results — test-enforced).
+        work at all.  Otherwise it is a full
+        :func:`~repro.core.pipeline.build_topology` on the maintained states.
+        The result never shares a state with the manager: later events leave
+        a held result unchanged.
         """
         config = config if config is not None else OptimizationConfig.none()
-        dirty = self._touched | self._net_dirty
         if (
             self._last_result is not None
-            and not dirty
+            and not self._touched
+            and not self._net_dirty
             and config == self._last_config
         ):
             self.memo_hits += 1
             return self._last_result
-        if incremental:
-            if self._builder is None or not self._builder.matches(
-                self.network, self.alpha, config
-            ):
-                from repro.core.incremental import IncrementalTopologyBuilder
-
-                self._retire_builder()
-                self._builder = IncrementalTopologyBuilder(
-                    self.network, self.alpha, config=config
-                )
-                result = self._builder.rebuild(outcome=self.outcome)
-            else:
-                result = self._builder.update(dirty, outcome=self.outcome)
-        else:
-            self._retire_builder()
-            self._full_builds += 1
-            result = build_topology(
-                self.network,
-                self.alpha,
-                config=config,
-                outcome=self.outcome,
-            )
+        self._full_builds += 1
+        # Shrink-back writes new states; without it the pipeline would hand
+        # back the manager's own, so they are copied.
+        outcome = self.outcome if config.shrink_back else self.outcome.copy()
+        result = build_topology(self.network, self.alpha, config=config, outcome=outcome)
         self._touched.clear()
         self._net_dirty.clear()
         self._last_result = result

@@ -76,14 +76,14 @@ def _undirected_from_pairs(
     return graph
 
 
-def edge_length_from_outcome(outcome: CBTCOutcome, u: NodeId, v: NodeId) -> float:
+def _edge_length(outcome: CBTCOutcome, u: NodeId, v: NodeId) -> float:
     """The distance recorded for edge ``(u, v)``, read canonically.
 
     Both endpoints' records normally agree bit-for-bit (``hypot`` is
     symmetric), but under reconfiguration each side's record may be stale by
     up to the refresh tolerance.  Preferring the smaller endpoint's record
-    makes the stored edge length independent of state iteration order, which
-    the incremental pipeline's byte-identity contract relies on.
+    makes the stored edge length independent of state iteration order,
+    which follows each state's history.
     """
     a, b = (u, v) if u < v else (v, u)
     state_a = outcome.states.get(a)
@@ -93,9 +93,6 @@ def edge_length_from_outcome(outcome: CBTCOutcome, u: NodeId, v: NodeId) -> floa
     if state_b is not None and a in state_b.neighbors:
         return state_b.neighbors[a].distance
     raise KeyError(f"no neighbour record for edge ({u}, {v})")
-
-
-_edge_length = edge_length_from_outcome
 
 
 def symmetric_closure_graph(outcome: CBTCOutcome, network: Optional[Network] = None) -> nx.Graph:
@@ -170,7 +167,7 @@ class TopologyResult:
         if not self.node_radius:
             return 0.0
         # Summed in node-id order: float addition is not associative, and the
-        # dict's insertion order differs between incremental and full builds.
+        # dict's insertion order follows the states' history.
         return sum(radius for _, radius in sorted(self.node_radius.items())) / len(self.node_radius)
 
     def max_radius(self) -> float:

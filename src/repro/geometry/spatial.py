@@ -177,6 +177,9 @@ class UniformGridIndex:
     # ------------------------------------------------------------------ #
     def _candidate_cells(self, xy: Coordinate, radius: float) -> Iterator[List[Tuple[Hashable, float, float]]]:
         padded = radius + DISTANCE_TOLERANCE
+        # A few ulps more: ``xy - padded`` is rounded, so a point whose
+        # distance rounds down to the limit can sit just across a cell edge.
+        padded += 4 * math.ulp(max(abs(xy[0]), abs(xy[1]), padded))
         cx_min = math.floor((xy[0] - padded) / self.cell_size)
         cx_max = math.floor((xy[0] + padded) / self.cell_size)
         cy_min = math.floor((xy[1] - padded) / self.cell_size)

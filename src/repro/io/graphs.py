@@ -15,8 +15,8 @@ def graph_to_dict(graph: nx.Graph) -> Dict:
     The representation is *canonical*: nodes are listed in sorted order and
     edges as sorted ``(min, max)`` endpoint pairs, so two graphs with the
     same nodes, edges and attributes serialize byte-identically regardless
-    of insertion history.  The incremental topology pipeline's
-    byte-identity contract is defined through this form.
+    of insertion history.  The byte-identity contracts (serial vs sharded,
+    maintained vs fresh) are defined through this form.
     """
     return {
         "nodes": [

@@ -43,7 +43,7 @@ def _to_jsonable(value: Any) -> Any:
     if isinstance(value, nx.Graph) and not value.is_directed():
         # Undirected graphs serialize canonically (sorted nodes/edges) —
         # this is what makes "byte-identical topology" a meaningful notion
-        # for the incremental pipeline's equivalence tests.
+        # for the equivalence tests.
         from repro.io.graphs import graph_to_dict
 
         return graph_to_dict(value)

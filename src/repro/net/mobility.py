@@ -78,7 +78,7 @@ class RandomWaypointModel(MobilityModel):
     randomness, keeping the movers' streams identical to a run where the
     stationary nodes do not exist.  The default of 1.0 preserves the
     historic behaviour bit for bit.  Partial mobility is the regime the
-    incremental topology pipeline exploits — a 2% mover set leaves 98% of
+    reconfiguration protocol handles locally — a 2% mover set leaves most
     per-node CBTC state untouched each epoch.
     """
 

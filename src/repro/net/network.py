@@ -22,41 +22,15 @@ from repro.radio import PowerModel, default_power_model
 
 
 class DerivedDataCache:
-    """Memo of data derived from node positions and liveness.
+    """What the candidate memo of an older pickled network loads into.
 
-    The owning :class:`Network` clears it on every node change (a move to
-    the same position is no change), so a stored value is always current.
-    Entries must be keyed on everything else they depend on.  The memo
-    never rides a pickle: a loaded network starts with it empty.
+    Networks once memoized CBTC's sorted candidate lists here.  The memo
+    did not pay for itself and is gone; :meth:`Network.__setstate__` drops
+    the loaded object.
     """
 
-    __slots__ = ("_values",)
-
-    def __init__(self) -> None:
-        self._values: Dict[object, object] = {}
-
-    def __reduce__(self):
-        return (DerivedDataCache, ())
-
     def __setstate__(self, state: object) -> None:
-        # Networks pickled by older versions carry the memo with per-entry
-        # dirty sets and hit counters; it is dropped, not restored.
-        self._values = {}
-
-    def get(self, key: object) -> Optional[object]:
-        """The value stored for ``key``, or ``None``."""
-        return self._values.get(key)
-
-    def put(self, key: object, value: object) -> None:
-        """Store ``value`` for ``key``."""
-        self._values[key] = value
-
-    def clear(self) -> None:
-        """Drop every entry."""
-        self._values.clear()
-
-    def __len__(self) -> int:
-        return len(self._values)
+        pass
 
 
 class Network:
@@ -69,8 +43,8 @@ class Network:
     set or any node's position/liveness changes — nodes notify the network
     through the watcher registered on them, and
     :meth:`add_node`/:meth:`remove_node` report directly — the matching
-    delta update is applied to the index, the :class:`DerivedDataCache` is
-    cleared, and every registered dirty listener records the node ID.
+    delta update is applied to the index and every registered dirty
+    listener records the node ID.
     Every range query, and every construction built on them, goes through
     this index.
     """
@@ -82,7 +56,6 @@ class Network:
     ) -> None:
         self.power_model = power_model if power_model is not None else default_power_model()
         self._spatial_index: Optional[UniformGridIndex] = None
-        self._derived_cache = DerivedDataCache()
         self._dirty_listeners: List[Set[NodeId]] = []
         self._nodes: Dict[NodeId, Node] = {}
         for node in nodes:
@@ -90,6 +63,11 @@ class Network:
                 raise ValueError(f"duplicate node id {node.node_id}")
             self._nodes[node.node_id] = node
             node.watch(self._on_node_changed)
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        # Networks pickled by older versions carry a candidate memo.
+        state.pop("_derived_cache", None)
+        self.__dict__.update(state)
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -190,7 +168,6 @@ class Network:
             pass
 
     def _mark_dirty(self, node_id: NodeId) -> None:
-        self._derived_cache.clear()
         for listener in self._dirty_listeners:
             listener.add(node_id)
 
@@ -210,21 +187,11 @@ class Network:
         """Drop the cached index (for callers that mutate positions directly).
 
         Such callers bypass the node watchers, so every node is conservatively
-        marked dirty for listeners and the derived cache is cleared.
+        marked dirty for listeners.
         """
         self._spatial_index = None
-        self._derived_cache.clear()
         for listener in self._dirty_listeners:
             listener.update(self._nodes)
-
-    @property
-    def derived_cache(self) -> DerivedDataCache:
-        """Memo for data derived from current positions/liveness.
-
-        Cleared on every node change (:class:`DerivedDataCache`).  Entries
-        must be keyed on everything else they depend on.
-        """
-        return self._derived_cache
 
     def spatial_index(self) -> UniformGridIndex:
         """The uniform-grid index over alive nodes (built lazily, kept live).

@@ -153,16 +153,11 @@ class ScenarioResult:
 class ScenarioRunner:
     """Drives one scenario run from a spec and a seed.
 
-    ``incremental`` selects the epoch-to-epoch topology path: ``True`` (the
-    default) threads each epoch's dirty-node delta through the incremental
-    pipeline (scoped CBTC, scoped optimization passes, spliced graph, route
-    cache); ``False`` runs a from-scratch ``build_topology`` every epoch and
-    routes without the cache — the reference the equivalence battery and
-    the incremental benchmarks compare against.  Both run the same
-    ``synchronize`` and produce byte-identical results per epoch.
-    ``verify_incremental`` makes every epoch self-check against a fresh full
-    rebuild (slow; used by the catalogue equivalence tests).  ``profile``
-    records wall-clock per-phase timings into each epoch's metrics.
+    Each epoch synchronizes the reconfiguration manager and takes its
+    memoized topology.  ``verify_incremental`` makes every epoch check that
+    topology against a fresh ``build_topology`` on the manager's states
+    (slow; used by the catalogue equivalence tests).  ``profile`` records
+    wall-clock per-phase timings into each epoch's metrics.
     """
 
     def __init__(
@@ -170,13 +165,11 @@ class ScenarioRunner:
         spec: ScenarioSpec,
         seed: int = 0,
         *,
-        incremental: bool = True,
         verify_incremental: bool = False,
         profile: bool = False,
     ) -> None:
         self.spec = spec
         self.seed = seed
-        self.incremental = incremental
         self.verify_incremental = verify_incremental
         self.profile = profile
         self.network: Network = spec.build_network(seed)
@@ -185,7 +178,7 @@ class ScenarioRunner:
         self._churn_rng = SeededRandom(spec.component_seed(seed, "churn"))
         self.ledger = EnergyLedger(self.network.node_ids, capacity=spec.energy.capacity)
         self._next_node_id = max(self.network.node_ids, default=-1) + 1
-        self._route_cache = SourceRouteCache() if incremental else None
+        self._route_cache = SourceRouteCache()
         self._manager: Optional[ReconfigurationManager] = None
         if spec.protocol != DISTRIBUTED:
             self._manager = ReconfigurationManager(
@@ -196,16 +189,13 @@ class ScenarioRunner:
         """Build the initial topology before the first epoch (warm start).
 
         Long-running deployments (and the benchmarks) call this so the first
-        epoch pays only for its delta instead of the one-off full pipeline
-        build.  Epoch results are unchanged — the manager's topology is a
-        pure function of the current geometry and CBTC states.  No-op under
-        the distributed protocol.
+        epoch does not also pay for the initial build.  Epoch results are
+        unchanged — the manager's topology is a pure function of the current
+        geometry and CBTC states.  No-op under the distributed protocol.
         """
         if self._manager is None:
             return None
-        return self._manager.topology(
-            config=self.spec.optimizations.config(), incremental=self.incremental
-        )
+        return self._manager.topology(config=self.spec.optimizations.config())
 
     # ------------------------------------------------------------------ #
     # Per-epoch mechanics
@@ -261,7 +251,7 @@ class ScenarioRunner:
         return deaths
 
     def _verify_against_full_rebuild(self, epoch: int, topology: TopologyResult) -> None:
-        """Assert the incremental result equals a from-scratch build (slow)."""
+        """Assert the memoized topology equals a from-scratch build (slow)."""
         full = build_topology(
             self.network,
             self.spec.alpha,
@@ -270,7 +260,7 @@ class ScenarioRunner:
         )
         if results_to_json(topology) != results_to_json(full):
             raise AssertionError(
-                f"incremental topology diverged from full rebuild at epoch {epoch} "
+                f"memoized topology diverged from a fresh build at epoch {epoch} "
                 f"of scenario {self.spec.name!r} (seed {self.seed})"
             )
 
@@ -281,9 +271,7 @@ class ScenarioRunner:
             events_before = self._manager.events_applied
             reruns_before = self._manager.reruns
             iterations = self._manager.synchronize(max_iterations=spec.sync_max_iterations)
-            topology = self._manager.topology(
-                config=spec.optimizations.config(), incremental=self.incremental
-            )
+            topology = self._manager.topology(config=spec.optimizations.config())
             if self.verify_incremental:
                 self._verify_against_full_rebuild(epoch, topology)
             return (
@@ -345,8 +333,8 @@ class ScenarioRunner:
         messages_sent: int,
     ) -> EpochMetrics:
         graph = topology.graph
-        # Sorted so the float sum below is canonical regardless of how the
-        # radius dict was assembled (full rebuild vs incremental splice).
+        # Sorted so the float sum below is canonical regardless of the
+        # radius dict's insertion order.
         radii = sorted(topology.node_radius.values())
         return EpochMetrics(
             epoch=epoch,
@@ -460,15 +448,8 @@ def run_scenario(
     spec: ScenarioSpec,
     seed: int = 0,
     *,
-    incremental: bool = True,
     verify_incremental: bool = False,
     profile: bool = False,
 ) -> ScenarioResult:
     """Convenience wrapper: build a runner and execute the scenario."""
-    return ScenarioRunner(
-        spec,
-        seed,
-        incremental=incremental,
-        verify_incremental=verify_incremental,
-        profile=profile,
-    ).run()
+    return ScenarioRunner(spec, seed, verify_incremental=verify_incremental, profile=profile).run()

@@ -103,8 +103,8 @@ class MobilitySpec:
     kind (``max_step`` for walks, ``min_speed``/``max_speed`` for waypoint,
     ``speed`` for partition separation and convoy travel).
     ``mover_fraction`` (random-waypoint only) restricts motion to a
-    seed-stable subset of nodes — the partial-mobility regime the
-    incremental topology pipeline is built for.
+    seed-stable subset of nodes — the partial-mobility regime whose events
+    the reconfiguration protocol handles locally.
     """
 
     kind: str = "stationary"

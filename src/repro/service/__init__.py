@@ -5,11 +5,12 @@ serving surface: a long-running asyncio front end
 (:class:`~repro.service.server.FleetServer`) hosts many live worlds behind
 a JSON wire protocol, shards them over worker processes by consistent
 hashing (:class:`~repro.service.sharding.HashRing`), coalesces concurrent
-requests into per-shard batches, and serves reads from per-world snapshot
-caches invalidated through the network's dirty-listener hooks
-(:class:`~repro.service.worlds.World`).  Writes ride the incremental
-dirty-set topology pipeline, so a request that moves a handful of nodes
-never pays for a full rebuild.
+requests into per-shard batches, and answers repeat reads from one
+read-result cache in front of the shards (:mod:`repro.service.readcache`).
+Each live world (:class:`~repro.service.worlds.World`) rides the dirty-set
+machinery: a write that moves a handful of nodes re-runs the paper's
+reconfiguration rules only where the events land, and the next read
+rebuilds the topology from the maintained states.
 
 ``cbtc serve`` starts a server; ``cbtc load`` drives the closed-loop load
 generator (:mod:`repro.service.loadgen`) against it and can verify the

@@ -59,7 +59,7 @@ never blocking sleeps (inline pools share this event loop).
 
 **Shards.**  The default backend is a :class:`~repro.service.workers.
 ProcessShardPool` (one long-lived worker process per shard, each owning its
-worlds' reconfiguration and incremental-builder state); ``inline=True``
+worlds' reconfiguration state and memoized topologies); ``inline=True``
 executes shards in-process — same semantics, no IPC — which is what the
 benchmarks use to isolate the serving-layer gains and what tests use for
 speed.  ``naive=True`` selects the one-request-one-rebuild baseline in

@@ -11,9 +11,8 @@ that isolate the serving-layer gains, and single-machine serving.
 
 :class:`ProcessShardPool` gives each shard a long-lived worker process
 owning its worlds' :class:`~repro.core.reconfiguration.ReconfigurationManager`
-and :class:`~repro.core.incremental.IncrementalTopologyBuilder` state, so
-epoch updates ride the dirty-set path across requests instead of rebuilding
-per request.  Each worker talks to the front end over one duplex
+state, so epoch updates ride the dirty-set path and the memoized topology
+across requests instead of rebuilding per request.  Each worker talks to the front end over one duplex
 ``multiprocessing`` pipe: the dispatcher sends a batch and its event loop
 watches the pipe and the worker's ``Process.sentinel`` (``loop.add_reader``),
 so a round trip costs no executor thread and no queue feeder thread.

@@ -8,20 +8,20 @@ per-node CBTC states.
 
 The write path rides the dirty-set machinery end to end: mobility steps and
 churn deltas mark node IDs dirty through the network's watcher hooks; the
-next read synchronizes the manager (one shared geometry pass) and splices
-the delta into the previous topology through the
-:class:`~repro.core.incremental.IncrementalTopologyBuilder` instead of
-rebuilding.  The manager memoizes that topology, so repeat reads of a clean
-world skip the pipeline; the read result itself is computed afresh on every
-read.  A world caches no results: repeat reads are answered in front of the
-shards by the one read-result cache, :mod:`repro.service.readcache`.
+next read synchronizes the manager (one shared geometry pass), which applies
+the paper's reconfiguration rules to the affected nodes only, and then
+builds the topology from the maintained states.  The manager memoizes that
+topology, so repeat reads of a clean world skip the pipeline; the read
+result itself is computed afresh on every read.  A world caches no
+results: repeat reads are answered in front of the shards by the one
+read-result cache, :mod:`repro.service.readcache`.
 
 ``naive=True`` builds the serving baseline the benchmarks compare against:
 a full from-scratch :func:`~repro.core.pipeline.build_topology` on
 **every** request — the one-request-one-rebuild server a straightforward
 implementation would be.  Both modes produce byte-identical responses (the
-incremental pipeline is an optimization, not an approximation), which the
-service test suite asserts.
+memo is an optimization, not an approximation), which the service test
+suite asserts.
 
 :class:`WorldHost` owns many worlds and executes protocol requests against
 them.  It is deliberately synchronous and transport-free: the asyncio front
@@ -52,7 +52,7 @@ from repro.io.graphs import graph_to_dict
 from repro.io.results import canonical_json
 from repro.net.network import Network
 from repro.net.node import Node
-from repro.obs.metrics import COUNT_BUCKETS, Histogram, MetricsRegistry
+from repro.obs.metrics import COUNT_BUCKETS, MetricsRegistry
 from repro.obs.trace import get_tracer, timed
 from repro.scenarios.catalogue import get_scenario
 from repro.scenarios.spec import DISTRIBUTED, ScenarioSpec
@@ -174,7 +174,7 @@ class World:
             self.manager.synchronize(max_iterations=spec.sync_max_iterations)
             self._dirty.clear()
             if not naive:
-                self.manager.topology(config=self._config, incremental=True)
+                self.manager.topology(config=self._config)
         except BaseException:
             self.close()
             raise
@@ -237,9 +237,9 @@ class World:
         reports a geometric change since the last read — reconciliation is
         part of the model's semantics, so it must not differ between modes.
         What differs is what a read *costs* afterwards: cached mode asks the
-        manager for the memoized, incrementally spliced topology; naive mode
-        rebuilds from scratch on every request, bypassing the manager's memo
-        on purpose (the one-request-one-rebuild baseline).
+        manager for its memoized topology; naive mode rebuilds from scratch
+        on every request, bypassing the manager's memo on purpose (the
+        one-request-one-rebuild baseline).
         """
         if self._dirty:
             self._notify_sync()
@@ -252,7 +252,7 @@ class World:
                 config=self._config,
                 outcome=self.manager.outcome,
             )
-        return self.manager.topology(config=self._config, incremental=True)
+        return self.manager.topology(config=self._config)
 
     # ------------------------------------------------------------------ #
     # Writes
@@ -342,10 +342,10 @@ class World:
 
         Called after every applied write on a tracked world.  Rides the
         dirty-listener machinery of every read: the write marked the world
-        dirty, the snapshot read reconciles and rebuilds
-        (incrementally, on the cached path), and the tracker diffs the new
-        canonical snapshot against the previous sequence point.  Returns
-        the new ring entry, or ``None`` when untracked or unchanged.
+        dirty, the snapshot read reconciles and rebuilds, and the tracker
+        diffs the new canonical snapshot against the previous sequence
+        point.  Returns the new ring entry, or ``None`` when untracked or
+        unchanged.
         """
         if self._tracker is None:
             return None
@@ -451,7 +451,6 @@ class World:
             "naive": self.naive,
             "writes": self.writes_applied,
             "topology_builds": self.manager.topology_builds,
-            "incremental_updates": self.manager.incremental_updates,
             "topology_memo_hits": self.manager.memo_hits,
         }
 
@@ -462,7 +461,7 @@ def build_world_spec(params: Dict[str, Any]) -> Tuple[ScenarioSpec, int]:
     ``scenario`` names a catalogue entry (default
     :data:`DEFAULT_SCENARIO`); ``nodes`` scales its population;
     ``mover_fraction`` restricts motion to a seed-stable subset — the
-    partial-mobility regime the incremental pipeline serves best.
+    partial-mobility regime whose events stay local.
     """
     name = params.get("scenario", DEFAULT_SCENARIO)
     try:
@@ -1072,13 +1071,10 @@ class WorldHost:
             "spatial.neighbor_queries": 0,
             "spatial.pair_queries": 0,
             "topology.full_builds": 0,
-            "topology.incremental_updates": 0,
             "topology.memo_hits": 0,
-            "topology.rebuild_fallbacks": 0,
             "world.writes": 0,
             "subs.tracked": 0,
         }
-        dirty_hist = Histogram(COUNT_BUCKETS)
         for world in self.worlds.values():
             if world._tracker is not None:
                 sums["subs.tracked"] += 1
@@ -1086,20 +1082,12 @@ class WorldHost:
             sums["spatial.neighbor_queries"] += neighbor_queries
             sums["spatial.pair_queries"] += pair_queries
             sums["topology.full_builds"] += world.manager.topology_builds
-            sums["topology.incremental_updates"] += world.manager.incremental_updates
             sums["topology.memo_hits"] += world.manager.memo_hits
-            sums["topology.rebuild_fallbacks"] += world.manager.rebuild_fallbacks
             sums["world.writes"] += world.writes_applied
-            dirty_hist.merge(world.manager.dirty_size_histogram())
         folded.update(sums)
         self.metrics.gauge("host.live_worlds").set(len(self.worlds))
         self.metrics.gauge("host.evicted_worlds").set(len(self._evicted))
-        snapshot = self.metrics.snapshot(extra_counters=folded)
-        if dirty_hist.count:
-            histograms = dict(snapshot["histograms"])
-            histograms["topology.dirty_set_size"] = dirty_hist.to_dict()
-            snapshot["histograms"] = dict(sorted(histograms.items()))
-        return snapshot
+        return self.metrics.snapshot(extra_counters=folded)
 
     def close(self, *, flush: bool = True) -> None:
         """Release every hosted world's notification hooks.

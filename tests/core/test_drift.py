@@ -4,13 +4,14 @@ connectivity on every epoch."""
 import dataclasses
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.analysis import preserves_max_power_connectivity, state_divergence
 from repro.core.cbtc import run_cbtc
 from repro.core.optimizations import shrink_back
-from repro.core.pipeline import OptimizationConfig
+from repro.core.pipeline import OptimizationConfig, build_topology
 from repro.core.reconfiguration import ReconfigurationManager
 from repro.geometry import Point
 from repro.net.placement import PlacementConfig, random_uniform_placement
@@ -96,7 +97,7 @@ class TestConnectivityUnderSchedules:
             # The reconfiguration rules keep G_alpha, its shrink-back and
             # pairwise edge removal (all optimizations at 5pi/6).  Asymmetric
             # edge removal is left out: on maintained states at 2pi/3 it can
-            # disconnect (ROADMAP, item 1).
+            # disconnect (ROADMAP, item 3; TestAsymmetricRemovalDefect).
             for config in (
                 OptimizationConfig.none(),
                 OptimizationConfig.shrink_only(),
@@ -104,3 +105,50 @@ class TestConnectivityUnderSchedules:
             ):
                 graph = manager.topology(config=config).graph
                 assert preserves_max_power_connectivity(network, graph)
+
+
+#: A schedule on which asymmetric edge removal disconnects maintained states
+#: (ROADMAP, item 3): node 9 keeps an alpha-gap and never lists node 3, which
+#: it hears, so the symmetric subset graph cuts node 3 off after epoch 2.
+DEFECT_ALPHA = 2 * math.pi / 3
+DEFECT_EPOCHS = (
+    (("move", 4, 0.0, 0.0), ("crash", 12), ("move", 0, 1161.0, 1.0), ("crash", 18)),
+    (("move", 3, 661.0, 0.0),),
+)
+
+
+def _defect_epochs(network):
+    """Apply the defect schedule to ``network`` one epoch per iteration."""
+    for steps in DEFECT_EPOCHS:
+        for step in steps:
+            node = network.node(step[1])
+            if step[0] == "move":
+                node.move_to(Point(step[2], step[3]))
+            else:
+                node.crash()
+        yield
+
+
+def _defect_network():
+    return random_uniform_placement(PlacementConfig(node_count=19), seed=1506)
+
+
+class TestAsymmetricRemovalDefect:
+    def test_fresh_states_keep_connectivity(self):
+        network = _defect_network()
+        for _ in _defect_epochs(network):
+            fresh = build_topology(network, DEFECT_ALPHA, config=OptimizationConfig.all())
+            assert preserves_max_power_connectivity(network, fresh.graph)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="maintained states miss an angle change of a heard, unrecorded node "
+        "(ROADMAP, item 3)",
+    )
+    def test_maintained_states_keep_connectivity(self):
+        network = _defect_network()
+        manager = ReconfigurationManager(network, DEFECT_ALPHA)
+        for _ in _defect_epochs(network):
+            manager.synchronize()
+            graph = manager.topology(config=OptimizationConfig.all()).graph
+            assert preserves_max_power_connectivity(network, graph)

@@ -1,21 +1,22 @@
-"""Tests for the incremental topology pipeline (repro.core.incremental).
+"""Epoch-to-epoch topologies from the reconfiguration manager.
 
-The contract under test: ``IncrementalTopologyBuilder``, fed the CBTC
-states a ``ReconfigurationManager`` maintains, produces results
-**byte-identical** (via ``repro.io`` serialization) to a from-scratch
-``build_topology(outcome=...)`` on the same states after any sequence of
-moves, crashes, recoveries and joins.
+The contract under test: ``ReconfigurationManager.topology``, after any
+sequence of moves, crashes, recoveries and joins followed by
+``synchronize``, is **byte-identical** (via ``repro.io`` serialization) to
+a from-scratch ``build_topology(outcome=...)`` on the manager's states, and
+a result once handed out never changes.  Managers pickled while topologies
+were spliced incrementally (they carry an ``IncrementalTopologyBuilder``)
+load and continue identically.
 """
 
 import copy
-import dataclasses
 import math
 import pickle
 import random
 
 import pytest
 
-from repro.core.incremental import IncrementalTopologyBuilder
+import repro.core.incremental as incremental_module
 from repro.core.pipeline import OptimizationConfig, build_topology
 from repro.core.reconfiguration import ReconfigurationManager
 from repro.geometry import Point
@@ -41,7 +42,6 @@ def _drift_network(node_count=120, seed=3):
 
 
 def _perturb(network, side, rng, movers=4):
-    dirty = set()
     alive = [n.node_id for n in network.nodes if n.alive]
     for node_id in rng.sample(alive, min(movers, len(alive))):
         node = network.node(node_id)
@@ -51,38 +51,56 @@ def _perturb(network, side, rng, movers=4):
                 min(max(node.position.y + rng.uniform(-80.0, 80.0), 0.0), side),
             )
         )
-        dirty.add(node_id)
-    return dirty
 
 
 class _Managed:
-    """A network, the manager maintaining its CBTC states, and a builder fed
-    the manager's outcome the way ``ReconfigurationManager.topology`` feeds
-    its own."""
+    """A network and the manager maintaining its CBTC states."""
 
     def __init__(self, node_count=120, seed=3, *, alpha=ALPHA, config=OptimizationConfig.none()):
         self.network, self.side = _drift_network(node_count, seed)
         self.alpha, self.config = alpha, config
         self.manager = ReconfigurationManager(self.network, alpha)
         self.manager.synchronize()  # the first call completes every node's knowledge
-        self.manager._touched.clear()
-        self._changed = self.network.register_dirty_listener()
-        self.builder = IncrementalTopologyBuilder(self.network, alpha, config=config)
-        self.result = self.builder.rebuild(self.manager.outcome)
+        self.result = self.manager.topology(config=config)
 
     def update(self):
-        """Synchronize the states, then splice every changed node in."""
+        """Synchronize the states, then take the manager's topology."""
         self.manager.synchronize(max_iterations=40)
-        dirty = self._changed | self.manager._touched
-        self._changed.clear()
-        self.manager._touched.clear()
-        self.result = self.builder.update(dirty, self.manager.outcome)
+        self.result = self.manager.topology(config=self.config)
         return self.result
 
     def fresh(self):
         return build_topology(
             self.network, self.alpha, config=self.config, outcome=self.manager.outcome
         )
+
+
+class _OldBuilder:
+    """``repro.core.incremental.IncrementalTopologyBuilder`` as older
+    versions pickled it: splice caches and counters.  Pickles under the
+    real class's name while patched into its module."""
+
+    __module__ = incremental_module.__name__
+    __qualname__ = "IncrementalTopologyBuilder"
+
+
+def _with_old_builder(manager, *, full_builds):
+    """Give ``manager`` the attributes an older version pickled with it."""
+    builder = _OldBuilder()
+    builder.network, builder.alpha = manager.network, manager.alpha
+    builder.full_builds, builder.incremental_updates, builder.fallbacks = full_builds, 5, 1
+    builder._result = manager._last_result
+    builder._removed = {(0, 1)}
+    manager._builder = builder
+    manager._retired_incremental_updates = 2
+    manager._retired_fallbacks = 1
+    manager._retired_dirty_hist = None
+
+
+def _old_pickle(monkeypatch, obj):
+    with monkeypatch.context() as patch:
+        patch.setattr(incremental_module, "IncrementalTopologyBuilder", _OldBuilder)
+        return pickle.dumps(obj)
 
 
 class TestUpdateTopologyEquivalence:
@@ -95,7 +113,7 @@ class TestUpdateTopologyEquivalence:
         for _ in range(5):
             _perturb(world.network, world.side, rng)
             assert results_to_json(world.update()) == results_to_json(world.fresh())
-        assert world.builder.incremental_updates >= 1
+        assert world.manager.topology_builds == 6
 
     def test_crash_recover_and_join_splice_byte_identically(self):
         world = _Managed(config=OptimizationConfig.all())
@@ -112,27 +130,31 @@ class TestUpdateTopologyEquivalence:
         for step in schedule:
             step()
             assert results_to_json(world.update()) == results_to_json(world.fresh())
-        assert world.builder.incremental_updates >= 1
 
     def test_empty_dirty_set_returns_previous_result(self):
         world = _Managed(node_count=40)
-        assert world.builder.update([], world.manager.outcome) is world.result
         assert world.update() is world.result
+        assert world.manager.topology_builds == 1
 
     def test_builder_state_never_leaks_into_serialization(self):
-        world = _Managed(node_count=30)
-        assert results_to_json(world.result) == results_to_json(world.fresh())
-        assert all(value is not world.builder for value in vars(world.result).values())
+        # The result shares no state with the manager, whatever the config.
+        for config in CONFIGS:
+            world = _Managed(node_count=30, config=config)
+            assert results_to_json(world.result) == results_to_json(world.fresh())
+            maintained = world.manager.outcome
+            assert world.result.outcome is not maintained
+            assert all(
+                state is not maintained.states.get(node_id)
+                for node_id, state in world.result.outcome.states.items()
+            )
 
     def test_config_change_reprimes_with_full_build(self):
         network, _ = _drift_network(node_count=40)
         manager = ReconfigurationManager(network, ALPHA)
         manager.synchronize()
         manager.topology(config=OptimizationConfig.none())
-        builder = manager._builder
         switched = manager.topology(config=OptimizationConfig.shrink_only())
-        assert manager._builder is not builder
-        assert manager._builder.full_builds == 1
+        assert manager.topology_builds == 2
         assert results_to_json(switched) == results_to_json(
             build_topology(
                 network, ALPHA, config=OptimizationConfig.shrink_only(), outcome=manager.outcome
@@ -140,19 +162,8 @@ class TestUpdateTopologyEquivalence:
         )
 
 
-class TestFallbacks:
-    def test_large_dirty_region_falls_back_to_full_rebuild(self):
-        world = _Managed(node_count=40)
-        for node in world.network.nodes:
-            node.move_to(Point(node.position.x + 5.0, node.position.y))
-        updated = world.update()
-        assert world.builder.full_builds == 2
-        assert world.builder.fallbacks == 1
-        assert results_to_json(updated) == results_to_json(world.fresh())
-
-
 class TestManagerDrivenBuilder:
-    """The builder consuming reconfiguration-manager-maintained states."""
+    """A larger world under shrink-back, several movers per epoch."""
 
     def test_manager_outcome_splice_matches_full_build(self):
         world = _Managed(node_count=150, seed=11, config=OptimizationConfig.shrink_only())
@@ -160,48 +171,43 @@ class TestManagerDrivenBuilder:
         for _ in range(4):
             _perturb(world.network, world.side, rng, movers=6)
             assert results_to_json(world.update()) == results_to_json(world.fresh())
-        assert world.builder.incremental_updates >= 1
 
 
 class TestSharedBaseGraph:
-    """With no edge removed, a rebuild's result shares the builder's base
-    graph; the next splice must copy it first."""
+    """Results handed out earlier never change under later epochs."""
 
     def test_splices_leave_earlier_results_unchanged(self):
-        network, side = _drift_network()
-        manager = ReconfigurationManager(network, ALPHA)
-        manager.synchronize()  # the first call completes every node's knowledge
-        config = OptimizationConfig.shrink_only()
-        results = [manager.topology(config=config)]
-        assert results[0].graph is manager._builder._base
-        snapshots = [results_to_json(results[0])]
-        rng = random.Random(5)
-        for _ in range(3):
-            _perturb(network, side, rng)
-            manager.synchronize()
-            results.append(manager.topology(config=config))
-            snapshots.append(results_to_json(results[-1]))
-            full = build_topology(network, ALPHA, config=config, outcome=manager.outcome)
-            assert snapshots[-1] == results_to_json(full)
-        assert manager.incremental_updates == 3
-        assert [results_to_json(result) for result in results] == snapshots
+        for config in CONFIGS:
+            network, side = _drift_network()
+            manager = ReconfigurationManager(network, ALPHA)
+            manager.synchronize()  # the first call completes every node's knowledge
+            results = [manager.topology(config=config)]
+            snapshots = [results_to_json(results[0])]
+            rng = random.Random(5)
+            for _ in range(3):
+                _perturb(network, side, rng)
+                manager.synchronize()
+                results.append(manager.topology(config=config))
+                snapshots.append(results_to_json(results[-1]))
+                full = build_topology(network, ALPHA, config=config, outcome=manager.outcome)
+                assert snapshots[-1] == results_to_json(full)
+            assert [results_to_json(result) for result in results] == snapshots
 
-    def test_builder_pickled_with_a_separate_final_graph_continues_identically(self):
-        # Builders pickled before the sharing held their own copy of the
-        # final graph and of the manager's states; they must load and keep
-        # splicing exactly as a builder that shares the graph.
+    def test_builder_pickled_with_a_separate_final_graph_continues_identically(
+        self, monkeypatch
+    ):
+        # Managers pickled while topologies were spliced carry the builder;
+        # they must load without it and go on exactly as a current manager.
         network, side = _drift_network()
         manager = ReconfigurationManager(network, ALPHA)
         manager.synchronize()
         config = OptimizationConfig.shrink_only()
         manager.topology(config=config)
         twin_network, twin = copy.deepcopy((network, manager))
-        builder = manager._builder
-        builder._result = dataclasses.replace(builder._result, graph=builder._base.copy())
-        builder._raw = manager.outcome.copy()
-        manager._last_result = builder._result
-        network, manager = pickle.loads(pickle.dumps((network, manager)))
-        assert not hasattr(manager._builder, "_raw")
+        _with_old_builder(manager, full_builds=0)
+        network, manager = pickle.loads(_old_pickle(monkeypatch, (network, manager)))
+        for key in ("_builder", "_retired_incremental_updates", "_retired_fallbacks"):
+            assert not hasattr(manager, key)
         rng, twin_rng = random.Random(9), random.Random(9)
         for _ in range(3):
             _perturb(network, side, rng)
@@ -211,25 +217,24 @@ class TestSharedBaseGraph:
             assert results_to_json(manager.topology(config=config)) == results_to_json(
                 twin.topology(config=config)
             )
-        assert manager.incremental_updates == twin.incremental_updates == 3
+        assert manager.topology_builds == twin.topology_builds == 4
 
 
 class TestManagerHygiene:
-    def test_counters_stay_monotone_across_builder_replacement(self):
+    def test_counters_stay_monotone_across_builder_replacement(self, monkeypatch):
+        # A loaded old builder's full builds are folded into the manager's.
         network, side = _drift_network(node_count=40)
         manager = ReconfigurationManager(network, ALPHA)
         manager.synchronize()
         manager.topology()
-        _perturb(network, side, random.Random(3))
-        manager.synchronize()
-        manager.topology()
-        builds = manager.topology_builds
-        updates = manager.incremental_updates
-        _perturb(network, side, random.Random(4))
-        manager.synchronize()
-        manager.topology(incremental=False)  # discards the builder
-        assert manager.topology_builds == builds + 1
-        assert manager.incremental_updates == updates
+        _with_old_builder(manager, full_builds=3)
+        loaded = pickle.loads(_old_pickle(monkeypatch, manager))
+        assert loaded.topology_builds == 4
+        assert loaded.incremental_updates == loaded.rebuild_fallbacks == 0
+        _perturb(loaded.network, side, random.Random(4))
+        loaded.synchronize()
+        loaded.topology()
+        assert loaded.topology_builds == 5
 
     def test_close_detaches_the_dirty_listener(self):
         network, side = _drift_network(node_count=20)

@@ -219,10 +219,10 @@ class TestTopologyMemoization:
         monkeypatch.setattr(reconfiguration_module, "build_topology", counting_build)
         manager = ReconfigurationManager(network, ALPHA)
         manager.synchronize()
-        first = manager.topology(incremental=False)
+        first = manager.topology()
         assert calls["count"] == 1
         manager.synchronize()
-        assert manager.topology(incremental=False) is first
+        assert manager.topology() is first
         assert calls["count"] == 1  # zero events => no build_topology call
 
     def test_any_node_change_invalidates_the_memo(self, network):
@@ -240,24 +240,36 @@ class TestTopologyMemoization:
         shrunk = manager.topology(config=OptimizationConfig.shrink_only())
         assert shrunk is not basic
 
-    def test_incremental_and_full_topologies_are_byte_identical(self, network, brute_force_twin):
+    def test_grid_and_brute_force_topologies_match(self, network, brute_force_twin):
         from repro.io.results import results_to_json
 
-        # The full-rebuild manager runs on the brute-force index, so this
-        # checks the grid-backed splice against the oracle end to end.
+        # The twin manager runs on the brute-force index, so this checks
+        # the grid-backed manager against the oracle end to end.
         oracle = brute_force_twin(network)
-        incremental_manager = ReconfigurationManager(network, ALPHA)
-        full_manager = ReconfigurationManager(oracle, ALPHA)
+        grid_manager = ReconfigurationManager(network, ALPHA)
+        oracle_manager = ReconfigurationManager(oracle, ALPHA)
         for step in range(3):
             for twin in (network, oracle):
                 twin.node(twin.node_ids[step]).move_to(Point(200.0 + 40 * step, 300.0))
-            incremental_manager.synchronize()
-            full_manager.synchronize()
-            a = incremental_manager.topology(config=OptimizationConfig.shrink_only())
-            b = full_manager.topology(
-                config=OptimizationConfig.shrink_only(), incremental=False
-            )
+            grid_manager.synchronize()
+            oracle_manager.synchronize()
+            a = grid_manager.topology(config=OptimizationConfig.shrink_only())
+            b = oracle_manager.topology(config=OptimizationConfig.shrink_only())
             assert results_to_json(a) == results_to_json(b)
+
+    def test_held_result_survives_later_events(self, network):
+        from repro.io.results import results_to_json
+
+        # Without shrink-back the pipeline keeps the states it is given, so
+        # the manager must not hand it its own.
+        manager = ReconfigurationManager(network, ALPHA)
+        manager.synchronize()
+        held = manager.topology()
+        before = results_to_json(held)
+        network.node(network.node_ids[0]).move_to(Point(10.0, 10.0))
+        assert manager.synchronize() > 0
+        assert results_to_json(held) == before
+        assert results_to_json(manager.topology()) != before
 
 
 def _joins_by_definition(manager, beacon_powers, alive):

@@ -12,7 +12,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import (
@@ -109,6 +109,8 @@ class TestPairsWithin:
         radius=st.floats(min_value=0.0, max_value=5e3, allow_nan=False),
         cell_size=st.floats(min_value=0.5, max_value=2e3, allow_nan=False),
     )
+    # The partner lies across a cell edge at exactly the tolerance.
+    @example(points=[(0.0, 1e-12), (0.0, -1.4412740484781873e-167)], radius=0.0, cell_size=1.0)
     def test_matches_brute_force_pairs_in_order(self, points, radius, cell_size):
         index = UniformGridIndex(cell_size, enumerate(points))
         expected = []

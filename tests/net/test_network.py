@@ -5,6 +5,7 @@ import pickle
 
 import pytest
 
+import repro.net.network as network_module
 from repro.core.cbtc import _all_sorted_candidates
 from repro.geometry import Point
 from repro.net.network import Network
@@ -127,7 +128,7 @@ class TestGeometryHelpers:
 
 
 class TestDirtyTracking:
-    """Dirty listeners and delta-patched caches (the incremental substrate)."""
+    """Dirty listeners and the delta-patched spatial index."""
 
     def _network(self):
         return Network.from_positions([(0, 0), (100, 0), (200, 0), (0, 150)])
@@ -152,18 +153,14 @@ class TestDirtyTracking:
         network = self._network()
         dirty = network.register_dirty_listener()
         index = network.spatial_index()
-        cache = network.derived_cache
-        cache.put("probe", "value")
         network.node(0).move_to(Point(0.0, 0.0))  # unchanged position
         assert dirty == set()
         assert network.spatial_index() is index
-        assert cache.get("probe") == "value"
 
     def test_real_move_patches_index_and_dirties_cache(self):
         network = self._network()
         index = network.spatial_index()
-        cache = network.derived_cache
-        cache.put("probe", "value")
+        dirty = network.register_dirty_listener()
         network.node(0).move_to(Point(500.0, 500.0))
         # The index object is patched in place, not discarded...
         assert network.spatial_index() is index
@@ -174,9 +171,7 @@ class TestDirtyTracking:
         assert index.neighbors_within(Point(500, 500), 250.0) == fresh.neighbors_within(
             Point(500, 500), 250.0
         )
-        # The derived-data memo is dropped.
-        assert cache.get("probe") is None
-        assert len(cache) == 0
+        assert dirty == {0}
 
     def test_crash_and_recover_patch_index_membership(self):
         network = self._network()
@@ -187,7 +182,7 @@ class TestDirtyTracking:
         assert 2 in index
         assert network.spatial_index() is index
 
-    def test_cbtc_candidate_memo_is_dropped_by_every_change(self):
+    def test_cbtc_candidates_follow_every_change(self):
         network = self._network()
         changes = [
             lambda: network.node(0).move_to(Point(5.0, 5.0)),
@@ -196,22 +191,37 @@ class TestDirtyTracking:
             lambda: network.add_node(Node(node_id=9, position=Point(50.0, 50.0))),
             lambda: network.remove_node(9),
         ]
-        memo = _all_sorted_candidates(network)
-        assert _all_sorted_candidates(network) is memo  # unchanged network: a hit
+        _all_sorted_candidates(network)
         for change in changes:
             change()
-            assert len(network.derived_cache) == 0
-            fresh = network.copy()
-            memo = _all_sorted_candidates(network)
-            assert {
-                node_id: [(required, other.node_id, dist) for required, other, dist in items]
-                for node_id, items in memo.items()
-            } == {
-                node_id: [(required, other.node_id, dist) for required, other, dist in items]
-                for node_id, items in _all_sorted_candidates(fresh).items()
-            }
+            assert _candidate_ids(network) == _candidate_ids(network.copy())
 
-    def test_derived_cache_never_rides_a_pickle(self):
+    def test_derived_cache_never_rides_a_pickle(self, monkeypatch):
+        # Networks pickled by older versions carry a candidate memo; it is
+        # dropped on load.
         network = self._network()
-        network.derived_cache.put("probe", "value")
-        assert len(pickle.loads(pickle.dumps(network)).derived_cache) == 0
+        old = _OldDerivedDataCache()
+        old._values = {"probe": [1, 2, 3]}
+        network._derived_cache = old
+        with monkeypatch.context() as patch:
+            patch.setattr(network_module, "DerivedDataCache", _OldDerivedDataCache)
+            blob = pickle.dumps(network)
+        loaded = pickle.loads(blob)
+        assert not hasattr(loaded, "_derived_cache")
+        assert _candidate_ids(loaded) == _candidate_ids(network)
+
+
+class _OldDerivedDataCache:
+    """``repro.net.network.DerivedDataCache`` as older versions pickled it.
+    Pickles under the real class's name while patched into its module."""
+
+    __module__ = network_module.__name__
+    __qualname__ = "DerivedDataCache"
+    __slots__ = ("_values",)
+
+
+def _candidate_ids(network):
+    return {
+        node_id: [(required, other.node_id, dist) for required, other, dist in items]
+        for node_id, items in _all_sorted_candidates(network).items()
+    }

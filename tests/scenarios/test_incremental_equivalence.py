@@ -1,11 +1,12 @@
-"""Incremental-vs-full-rebuild equivalence at the scenario level.
+"""Memoized-vs-fresh topology equivalence at the scenario level.
 
-The acceptance contract of the incremental pipeline: for every scenario, the
-incremental epoch loop (shared-geometry synchronization, dirty-set topology
-splicing, route caching) produces results **byte-identical** — through
-``repro.io.results`` serialization, traffic reports included — to the
-historic full-rebuild loop.  Enforced here over the entire scenario
-catalogue and over hypothesis-generated random churn/mobility schedules.
+The contract of the epoch loop: for every scenario, each epoch's topology
+(the reconfiguration manager's memoized build) is **byte-identical** —
+through ``repro.io.results`` serialization — to a fresh ``build_topology``
+on the manager's states, which ``verify_incremental=True`` checks every
+epoch.  Verification never changes a result, traffic reports included.
+Enforced here over the entire scenario catalogue and over
+hypothesis-generated random churn/mobility schedules.
 """
 
 import math
@@ -30,24 +31,24 @@ ALPHA = 5 * math.pi / 6
 
 
 def _serialized_runs(spec, seed):
-    incremental = results_to_json(run_scenario(spec, seed, incremental=True))
-    full = results_to_json(run_scenario(spec, seed, incremental=False))
-    return incremental, full
+    verified = results_to_json(run_scenario(spec, seed, verify_incremental=True))
+    plain = results_to_json(run_scenario(spec, seed))
+    return verified, plain
 
 
 class TestCatalogueEquivalence:
-    """Every catalogue scenario: incremental == full rebuild, per epoch."""
+    """Every catalogue scenario: memoized == fresh build, per epoch."""
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_incremental_matches_full_rebuild(self, name):
         spec = SCENARIOS[name].scaled(epochs=min(SCENARIOS[name].epochs, 3))
-        incremental, full = _serialized_runs(spec, seed=1)
-        assert incremental == full
+        verified, plain = _serialized_runs(spec, seed=1)
+        assert verified == plain
 
     def test_traffic_reports_identical_per_epoch(self):
         spec = SCENARIOS["hotspot-traffic"].scaled(epochs=3)
-        a = run_scenario(spec, 2, incremental=True)
-        b = run_scenario(spec, 2, incremental=False)
+        a = run_scenario(spec, 2, verify_incremental=True)
+        b = run_scenario(spec, 2)
         for epoch_a, epoch_b in zip(a.epochs, b.epochs):
             assert results_to_json(epoch_a.traffic) == results_to_json(epoch_b.traffic)
 
@@ -57,6 +58,14 @@ class TestVerifyMode:
         spec = SCENARIOS["random-waypoint-drift"].scaled(node_count=40, epochs=3)
         result = ScenarioRunner(spec, 0, verify_incremental=True).run()
         assert len(result.epochs) == 3
+
+    def test_verify_incremental_catches_a_stale_topology(self):
+        spec = SCENARIOS["random-waypoint-drift"].scaled(node_count=40, epochs=3)
+        runner = ScenarioRunner(spec, 0, verify_incremental=True)
+        stale = runner.prime()
+        runner._manager.topology = lambda config: stale
+        with pytest.raises(AssertionError, match="diverged from a fresh build"):
+            runner.run()
 
 
 churn_events = st.lists(
@@ -92,9 +101,9 @@ class TestRandomScheduleEquivalence:
 
     Joins come from churn events, leaves from churn crashes and the random
     failure model, moves and angle changes from the mobility models.  Every
-    generated schedule must replay byte-identically through both pipeline
-    paths — serialized ``ScenarioResult`` (epoch metrics, ``TrafficReport``
-    JSON included) compared as strings.
+    epoch of every generated schedule must pass ``verify_incremental`` and
+    replay byte-identically without it — serialized ``ScenarioResult``
+    (epoch metrics, ``TrafficReport`` JSON included) compared as strings.
     """
 
     @settings(
@@ -127,8 +136,8 @@ class TestRandomScheduleEquivalence:
             steps_per_epoch=2,
             alpha=ALPHA,
         )
-        incremental, full = _serialized_runs(spec, seed)
-        assert incremental == full
+        verified, plain = _serialized_runs(spec, seed)
+        assert verified == plain
 
 
 class TestProfiling:

@@ -27,8 +27,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import incremental as incremental_module
 from repro.io.results import canonical_json
 from repro.net import network as network_module
+from repro.obs.metrics import COUNT_BUCKETS, Histogram
 from repro.service import protocol
 from repro.service import worlds as worlds_module
 from repro.service.loadgen import LoadConfig, serial_reference
@@ -542,6 +544,15 @@ class _OldDerivedDataCache:
     __slots__ = ("_values", "_dirty", "hits", "misses")
 
 
+class _OldBuilder:
+    """``repro.core.incremental.IncrementalTopologyBuilder`` as older
+    versions pickled it, self-run attributes included.  Pickles under the
+    real class's name while patched into its module."""
+
+    __module__ = incremental_module.__name__
+    __qualname__ = "IncrementalTopologyBuilder"
+
+
 #: The state directory under ``golden-state/``: written by ``cbtc serve
 #: --shards 2 --state-dir DIR --snapshot-every 4`` under ``cbtc load
 #: --worlds 3 --requests 14 --nodes 24 --subscribers 1`` (seed 0), with the
@@ -555,9 +566,9 @@ GOLDEN_SHARDS = 2
 
 class TestOldState:
     def test_retired_builder_and_cache_state_is_dropped(self, monkeypatch):
-        """Worlds checkpointed with the builder's self-run attributes and the
-        old derived-data cache recover without them and continue
-        byte-identically."""
+        """Worlds checkpointed with an incremental topology builder (self-run
+        attributes included) and the old derived-data cache recover without
+        them and continue byte-identically."""
         trace = build_trace(21, 6, node_count=15)
         half = len(trace) // 2
         store = MemoryStore()
@@ -565,12 +576,22 @@ class TestOldState:
         for request in trace[:half]:
             assert host.execute(request)["ok"]
         assert host.worlds
-        for world in host.worlds.values():
-            builder = world.manager._builder
+        builds = {}
+        for world_id, world in host.worlds.items():
+            manager = world.manager
+            builds[world_id] = manager.topology_builds + 2
+            builder = _OldBuilder()
+            builder.network, builder.alpha = world.network, manager.alpha
+            builder.full_builds, builder.incremental_updates, builder.fallbacks = 2, 4, 1
+            builder._result = manager._last_result
             builder.schedule = None
-            builder._raw = world.manager.outcome.copy()
+            builder._raw = manager.outcome.copy()
             builder._positions = {node.node_id: node.position for node in world.network.nodes}
             builder._external_outcome = True
+            manager._builder = builder
+            manager._retired_incremental_updates = 3
+            manager._retired_fallbacks = 1
+            manager._retired_dirty_hist = Histogram(COUNT_BUCKETS)
             old = _OldDerivedDataCache()
             old._values = {"probe": [1, 2, 3]}
             old._dirty = {"probe": {0}}
@@ -578,6 +599,7 @@ class TestOldState:
             world.network._derived_cache = old
         with monkeypatch.context() as patch:
             patch.setattr(network_module, "DerivedDataCache", _OldDerivedDataCache)
+            patch.setattr(incremental_module, "IncrementalTopologyBuilder", _OldBuilder)
             host.close()  # checkpoints every live world
 
         recovered = WorldHost(store=store, snapshot_every=3)
@@ -585,10 +607,15 @@ class TestOldState:
             recovered.recover()
             for world_id in sorted(recovered.world_ids()):
                 world = recovered._world(world_id)
-                for key in ("schedule", "_raw", "_positions", "_external_outcome"):
-                    assert not hasattr(world.manager._builder, key)
-                cache = world.network.derived_cache
-                assert type(cache) is network_module.DerivedDataCache and len(cache) == 0
+                for key in (
+                    "_builder",
+                    "_retired_incremental_updates",
+                    "_retired_fallbacks",
+                    "_retired_dirty_hist",
+                ):
+                    assert not hasattr(world.manager, key)
+                assert not hasattr(world.network, "_derived_cache")
+                assert world.manager.topology_builds == builds[world_id]
             for request in trace[half:]:
                 assert recovered.execute(request)["ok"]
             assert collect_snapshots(recovered) == replay_serial(trace)
