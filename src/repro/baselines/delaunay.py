@@ -12,8 +12,6 @@ degradation on sparse networks.
 from __future__ import annotations
 
 import networkx as nx
-import numpy as np
-from scipy.spatial import Delaunay, QhullError
 
 from repro.net.network import Network
 
@@ -30,6 +28,10 @@ def delaunay_graph(network: Network, *, respect_max_range: bool = True) -> nx.Gr
         graph.add_node(node.node_id, pos=node.position.as_tuple())
     if len(nodes) < 3:
         return network.max_power_graph()
+
+    # Imported here so that only a triangulating caller pays for numpy and scipy.
+    import numpy as np
+    from scipy.spatial import Delaunay, QhullError
 
     points = np.array([[node.position.x, node.position.y] for node in nodes])
     try:

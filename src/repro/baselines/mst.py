@@ -27,25 +27,21 @@ import networkx as nx
 from repro.net.network import Network
 from repro.net.node import Node, NodeId
 
-try:
-    import numpy as _np
-    from scipy.spatial import Delaunay, QhullError
-except ImportError:  # pragma: no cover - the test image always has scipy
-    _np = None
-    Delaunay = None
-    QhullError = Exception
-
 
 def _delaunay_candidate_edges(nodes: List[Node]) -> Optional[List[Tuple[NodeId, NodeId]]]:
     """Delaunay edge set as sorted ``(u, v)`` ID pairs, or ``None`` if degenerate."""
-    if Delaunay is None or len(nodes) < 3:
+    if len(nodes) < 3:
         return None
     distinct = {(node.position.x, node.position.y) for node in nodes}
     if len(distinct) < len(nodes):
         # Qhull merges coincident sites, which would drop the zero-length
         # edges the MST needs to connect co-located nodes.
         return None
-    points = _np.array([[node.position.x, node.position.y] for node in nodes])
+    # Imported here so that only a triangulating caller pays for numpy and scipy.
+    import numpy as np
+    from scipy.spatial import Delaunay, QhullError
+
+    points = np.array([[node.position.x, node.position.y] for node in nodes])
     try:
         triangulation = Delaunay(points)
     except QhullError:

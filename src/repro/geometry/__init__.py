@@ -35,8 +35,6 @@ Public API
     in output-sensitive time (the backbone of every scalable hot path).
 ``BruteForceIndex``
     Linear-scan reference with the same interface, used as the test oracle.
-``pairwise_distances``, ``distances_from``
-    Vectorized bulk-distance helpers (numpy-backed when available).
 """
 
 from repro.geometry.points import (
@@ -66,8 +64,6 @@ from repro.geometry.spatial import (
     DISTANCE_TOLERANCE,
     BruteForceIndex,
     UniformGridIndex,
-    distances_from,
-    pairwise_distances,
 )
 from repro.geometry.primitives import (
     Circle,
@@ -101,8 +97,6 @@ __all__ = [
     "DISTANCE_TOLERANCE",
     "BruteForceIndex",
     "UniformGridIndex",
-    "distances_from",
-    "pairwise_distances",
     "Circle",
     "triangle_angles",
     "opposite_side_is_longest",

@@ -26,22 +26,12 @@ by key so iteration order matches a scan over ID-sorted nodes.  That scan is
 :class:`BruteForceIndex`, the test oracle with the same interface.  The
 property tests in ``tests/geometry/test_spatial.py`` enforce this contract,
 including for points at distance exactly ``r``.
-
-Bulk distance computations (used by analyses rather than the
-identity-critical construction paths) are served by the vectorized helpers
-:func:`pairwise_distances` and :func:`distances_from`, which use numpy when
-it is available and fall back to pure Python otherwise.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
-
-try:  # numpy is an optional accelerator for the bulk helpers only.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the test image always has numpy
-    _np = None
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
 #: Absolute slack added to every distance comparison, matching the
 #: ``d <= radius + 1e-12`` convention used throughout the reproduction
@@ -364,38 +354,3 @@ class BruteForceIndex:
                     pairs.append((u, v, d))
         return pairs
 
-
-# --------------------------------------------------------------------------- #
-# Vectorized bulk-distance helpers
-# --------------------------------------------------------------------------- #
-def _coords(points: Sequence[object]) -> List[Coordinate]:
-    return [_as_xy(p) for p in points]
-
-
-def pairwise_distances(points: Sequence[object]):
-    """Full ``n x n`` Euclidean distance matrix for a sequence of points.
-
-    Returns a numpy array when numpy is available, otherwise a nested list.
-    Intended for bulk analyses (degree histograms, stretch tables); the
-    construction paths use :class:`UniformGridIndex` so their float results
-    stay bit-identical to the scalar ``math.hypot`` computations.
-    """
-    coords = _coords(points)
-    if _np is not None:
-        arr = _np.asarray(coords, dtype=float).reshape(-1, 2)
-        deltas = arr[:, None, :] - arr[None, :, :]
-        return _np.hypot(deltas[..., 0], deltas[..., 1])
-    return [
-        [math.hypot(ax - bx, ay - by) for (bx, by) in coords]
-        for (ax, ay) in coords
-    ]
-
-
-def distances_from(origin, points: Sequence[object]):
-    """Distances from ``origin`` to each point in ``points`` (vectorized)."""
-    ox, oy = _as_xy(origin)
-    coords = _coords(points)
-    if _np is not None:
-        arr = _np.asarray(coords, dtype=float).reshape(-1, 2)
-        return _np.hypot(arr[:, 0] - ox, arr[:, 1] - oy)
-    return [math.hypot(px - ox, py - oy) for (px, py) in coords]

@@ -374,7 +374,7 @@ class ScenarioRunner:
         )
         # Profiling installs a recording tracer for the epoch body, so the
         # phase timings come from the same span model as every other layer
-        # (and nested spans — e.g. topology.update — record alongside).
+        # (and any span opened inside a phase records alongside it).
         # Spans are telemetry only: timings land in measurement output,
         # never back in the simulation.
         profiler = RecordingTracer() if self.profile else None

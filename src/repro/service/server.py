@@ -164,7 +164,6 @@ class FleetServer:
         self.store_config: Optional[StoreConfig] = None
         if state_dir is not None:
             self.store_config = StoreConfig(
-                kind="sqlite",
                 path=state_dir,
                 snapshot_every=snapshot_every,
                 max_live_worlds=max_live_worlds,
@@ -251,12 +250,12 @@ class FleetServer:
             # Recovering an empty state directory is a no-op, so a durable
             # server always starts through the recovery path — first boot
             # and restart are the same code.
-            recover=self.store_config is not None and self.store_config.durable,
+            recover=self.store_config is not None,
         )
         self._dispatchers = [
             asyncio.create_task(self._dispatch(shard)) for shard in range(self.shards)
         ]
-        if self.store_config is not None and self.store_config.durable:
+        if self.store_config is not None:
             await self._heal_placement()
 
     async def serve_until_shutdown(self) -> None:
@@ -911,7 +910,7 @@ class FleetServer:
                     self._chain(self._route(request), future)
 
     async def _grow_runtime(self, new_shards: int) -> None:
-        recover = self.store_config is not None and self.store_config.durable
+        recover = self.store_config is not None
         if self._pool.runs_in_loop:
             self._pool.grow(new_shards, recover=recover)
         else:

@@ -125,44 +125,29 @@ class WorldStore:
 class StoreConfig:
     """Pool-level storage configuration, shipped picklable to shard workers.
 
-    ``kind`` selects the backend: ``"sqlite"`` (durable, one database file
-    per shard under ``path``) or ``"memory"`` (per-process, for tests and
-    inline pools — it cannot survive a worker *process* death, so the
-    process pool treats it as non-durable and answers a killed batch with
-    error responses instead of re-dispatching).
+    Each shard keeps one sqlite database file under ``path``, so the store
+    survives a worker process death.
     """
 
-    kind: str = "sqlite"
     path: Optional[str] = None
     snapshot_every: int = 16
     max_live_worlds: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("sqlite", "memory"):
-            raise ValueError(f"unknown store kind {self.kind!r} (expected 'sqlite' or 'memory')")
-        if self.kind == "sqlite" and not self.path:
+        if not self.path:
             raise ValueError("a sqlite store needs a state directory ('path')")
         if self.snapshot_every < 1:
             raise ValueError("snapshot_every must be at least 1")
         if self.max_live_worlds is not None and self.max_live_worlds < 1:
             raise ValueError("max_live_worlds must be at least 1")
 
-    @property
-    def durable(self) -> bool:
-        """Whether the store survives a worker process death."""
-        return self.kind == "sqlite"
-
 
 def build_store(config: StoreConfig, shard: int) -> WorldStore:
-    """Instantiate the configured backend for one shard.
+    """Instantiate the shard's sqlite store.
 
     Called *inside* the worker process (after fork/spawn): a sqlite
     connection must never cross a process boundary.
     """
-    if config.kind == "memory":
-        from repro.service.storage.memory import MemoryStore
-
-        return MemoryStore()
     from repro.service.storage.sqlite import SqliteStore
 
     return SqliteStore(shard_db_path(config.path, shard))

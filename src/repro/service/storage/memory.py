@@ -1,11 +1,10 @@
-"""In-memory store: the test double and the inline-pool default.
+"""In-memory store: the test double.
 
 Implements exactly the :class:`~repro.service.storage.base.WorldStore`
 contract over plain dictionaries.  It lives in the process that created
 it, so it models durability for *in-process* crash simulations (abandon a
-host, recover a fresh one from the same store) and for the inline shard
-pool, but cannot survive a worker **process** death — the process pool
-treats it as non-durable.
+host, recover a fresh one from the same store); the sharded replayer's
+batteries pass it in through ``store_factory``.
 
 Records and responses are deep-copied across the boundary in both
 directions so a caller mutating a dictionary it handed in (or got back)

@@ -35,16 +35,17 @@ delivered.  A broken pipe or end-of-file counts as death too.  What happens
 next depends on durability (and runs in the default executor, so one
 shard's recovery never stalls the event loop or the other shards):
 
-* with a durable (sqlite) store the pool restarts the worker on a fresh
-  pipe (a kill mid-``send`` can leave a partial pickle in the old one), the
-  replacement recovers its fleet from the shard's write-ahead log, and the
-  batch is re-dispatched under its original sequence number — if the dead
-  worker had already committed it, the store answers with the committed
-  responses (exactly-once); if not, the batch re-executes from the
-  pre-batch state, deterministically.  The client never sees the crash.
-* without one (no store, or the per-process memory store) the batch's
-  state is simply gone: the pool surfaces one error response per request
-  and restarts an **empty** worker so the shard keeps serving.
+* with a store (one sqlite file per shard) the pool restarts the worker
+  on a fresh pipe (a kill mid-``send`` can leave a partial pickle in the
+  old one), the replacement recovers its fleet from the shard's
+  write-ahead log, and the batch is re-dispatched under its original
+  sequence number — if the dead worker had already committed it, the store
+  answers with the committed responses (exactly-once); if not, the batch
+  re-executes from the pre-batch state, deterministically.  The client
+  never sees the crash.
+* without one the batch's state is simply gone: the pool surfaces one
+  error response per request and restarts an **empty** worker so the
+  shard keeps serving.
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ class InlineShardPool:
     @property
     def durable(self) -> bool:
         """Whether shard state survives a (simulated) worker death."""
-        return self.store_config is not None and self.store_config.durable
+        return self.store_config is not None
 
     def kill_worker(self, shard: int) -> None:
         """Mark ``shard``'s host as crashed (the inline analogue of a
@@ -300,8 +301,8 @@ class ProcessShardPool:
     ) -> None:
         if shard_count < 1:
             raise ValueError("a shard pool needs at least one shard")
-        if recover and (store_config is None or not store_config.durable):
-            raise ValueError("recover=True needs a durable store_config")
+        if recover and store_config is None:
+            raise ValueError("recover=True needs a store_config")
         self.shard_count = shard_count
         self.naive = naive
         self.store_config = store_config
@@ -328,7 +329,7 @@ class ProcessShardPool:
     @property
     def durable(self) -> bool:
         """Whether shard state survives a worker process death."""
-        return self.store_config is not None and self.store_config.durable
+        return self.store_config is not None
 
     def recovered_worlds(self) -> int:
         """Worlds restored from storage across all shards (startup + restarts)."""
@@ -489,7 +490,7 @@ class ProcessShardPool:
         if new_count < self.shard_count:
             raise ValueError("grow() cannot shrink the pool")
         if recover and not self.durable:
-            raise ValueError("recover=True needs a durable store_config")
+            raise ValueError("recover=True needs a store_config")
         new_shards = range(self.shard_count, new_count)
         for shard in new_shards:
             conn, worker = self._spawn(shard, recover=recover)

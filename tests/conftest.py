@@ -5,12 +5,18 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import settings
 
 import repro.net.network as network_module
 from repro.geometry import BruteForceIndex, Point
 from repro.net.network import Network
 from repro.net.placement import PlacementConfig, random_uniform_placement
 from repro.radio import PathLossModel, PowerModel
+from tests.hypothesis_profiles import TIER1_PROFILE
+
+# Derandomized property tests, so a failure seen once reproduces; the
+# falsify CI job overrides this with --hypothesis-profile.
+settings.load_profile(TIER1_PROFILE)
 
 ALPHA_FIVE_SIXTHS = 5.0 * math.pi / 6.0
 ALPHA_TWO_THIRDS = 2.0 * math.pi / 3.0

@@ -17,6 +17,7 @@ from repro.geometry import Point
 from repro.net.placement import PlacementConfig, random_uniform_placement
 from repro.scenarios.catalogue import get_scenario
 from repro.scenarios.runner import ScenarioRunner
+from tests.hypothesis_profiles import battery_examples
 
 ALPHA = 5 * math.pi / 6
 
@@ -69,7 +70,7 @@ class TestConnectivityUnderSchedules:
     """The reconfiguration rules keep ``G_R``'s connectivity after every
     epoch, and each synchronize ends at a fixpoint."""
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=battery_examples(30), deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
         node_count=st.integers(min_value=8, max_value=40),

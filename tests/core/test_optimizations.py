@@ -26,6 +26,7 @@ from repro.geometry.angles import TWO_PI, cover
 from repro.net.network import Network
 from repro.net.placement import PlacementConfig, random_uniform_placement
 from repro.radio import PathLossModel, PowerModel
+from tests.hypothesis_profiles import battery_examples
 
 ALPHA = 5 * math.pi / 6
 ALPHA_NARROW = 2 * math.pi / 3
@@ -221,12 +222,12 @@ def _band_states(draw):
 class TestShrinkBackOracle:
     """``shrink_back_node`` against the historic per-prefix loop."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=battery_examples(300), deadline=None)
     @given(state=_node_states())
     def test_matches_reference_on_arbitrary_states(self, state):
         assert _summary(shrink_back_node(state.copy())) == _summary(_reference_shrink_back_node(state.copy()))
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=battery_examples(200), deadline=None)
     @given(state=_band_states())
     def test_matches_reference_near_the_tolerance_band(self, state):
         assert _summary(shrink_back_node(state.copy())) == _summary(_reference_shrink_back_node(state.copy()))

@@ -28,6 +28,7 @@ from repro.net.network import Network
 from repro.net.node import Node
 from repro.net.placement import PlacementConfig, random_uniform_placement
 from repro.radio import PathLossModel, PowerModel
+from tests.hypothesis_profiles import battery_examples
 
 ALPHA = 5 * math.pi / 6
 
@@ -546,7 +547,7 @@ class TestSynchronizeOracle:
     """Production ``synchronize`` (later passes re-detect only what changed)
     against the all-observer loop, on twin managers."""
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=battery_examples(25), deadline=None)
     @given(
         cells=st.lists(
             st.integers(min_value=0, max_value=GRID_CELLS * GRID_CELLS - 1),

@@ -20,8 +20,6 @@ from repro.geometry import (
     BruteForceIndex,
     Point,
     UniformGridIndex,
-    distances_from,
-    pairwise_distances,
 )
 
 finite_coord = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False, allow_infinity=False)
@@ -183,27 +181,6 @@ class TestConstruction:
         assert 3 in index and 2 not in index
         assert index.position_of(1) == (5.0, 5.0)
         assert index.cell_count() == 2
-
-
-class TestVectorizedHelpers:
-    @settings(max_examples=50, deadline=None)
-    @given(points=st.lists(st.tuples(finite_coord, finite_coord), min_size=1, max_size=15))
-    def test_pairwise_distances_matches_hypot(self, points):
-        matrix = pairwise_distances([Point(x, y) for x, y in points])
-        for i, (ax, ay) in enumerate(points):
-            for j, (bx, by) in enumerate(points):
-                assert matrix[i][j] == pytest.approx(math.hypot(ax - bx, ay - by), abs=1e-9)
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        origin=st.tuples(finite_coord, finite_coord),
-        points=st.lists(st.tuples(finite_coord, finite_coord), min_size=1, max_size=15),
-    )
-    def test_distances_from_matches_hypot(self, origin, points):
-        ox, oy = origin
-        result = distances_from(Point(ox, oy), [Point(x, y) for x, y in points])
-        for got, (x, y) in zip(result, points):
-            assert got == pytest.approx(math.hypot(x - ox, y - oy), abs=1e-9)
 
 
 class TestDeltaUpdates:

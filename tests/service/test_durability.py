@@ -44,7 +44,7 @@ from repro.service.storage import (
     scan_world_ids,
     shard_db_path,
 )
-from repro.service.workers import ProcessShardPool
+from repro.service.workers import InlineShardPool, ProcessShardPool
 from repro.service.worlds import WorldHost
 
 from tests.service.test_determinism import WORLD_NAMES, build_trace, dispatch
@@ -163,21 +163,22 @@ class TestSqlitePersistence:
 class TestStoreConfig:
     def test_sqlite_requires_path(self):
         with pytest.raises(ValueError, match="state directory"):
-            StoreConfig(kind="sqlite", path=None)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown store kind"):
-            StoreConfig(kind="postgres", path="x")
+            StoreConfig(path=None)
 
     def test_bounds(self):
         with pytest.raises(ValueError, match="snapshot_every"):
-            StoreConfig(kind="memory", snapshot_every=0)
+            StoreConfig(path="x", snapshot_every=0)
         with pytest.raises(ValueError, match="max_live_worlds"):
-            StoreConfig(kind="memory", max_live_worlds=0)
+            StoreConfig(path="x", max_live_worlds=0)
 
-    def test_durability_flag(self):
-        assert StoreConfig(kind="sqlite", path="x").durable
-        assert not StoreConfig(kind="memory").durable
+    def test_durability_flag(self, tmp_path):
+        # A pool is durable exactly when a store config is attached.
+        assert not InlineShardPool(1).durable
+        pool = InlineShardPool(1, store_config=StoreConfig(path=str(tmp_path)))
+        try:
+            assert pool.durable
+        finally:
+            pool.close()
 
 
 # --------------------------------------------------------------------- #
@@ -666,7 +667,7 @@ class TestProcessPoolSupervision:
         midpoint = len(trace) // 2
         ring = HashRing(2)
         pool = ProcessShardPool(
-            2, store_config=StoreConfig(kind="sqlite", path=str(tmp_path))
+            2, store_config=StoreConfig(path=str(tmp_path))
         )
         try:
             self._bootstrap(pool, trace[:midpoint], ring)
@@ -730,7 +731,7 @@ class TestProcessPoolSupervision:
         must apply its writes exactly once."""
         ring = HashRing(1)
         pool = ProcessShardPool(
-            1, store_config=StoreConfig(kind="sqlite", path=str(tmp_path))
+            1, store_config=StoreConfig(path=str(tmp_path))
         )
         try:
             [response] = dispatch(

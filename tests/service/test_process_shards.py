@@ -235,7 +235,7 @@ class TestProcessShardPool:
 
     def test_dispatch_raises_instead_of_hanging_when_recovery_fails(self, tmp_path):
         async def body():
-            pool = ProcessShardPool(1, store_config=StoreConfig(kind="sqlite", path=str(tmp_path)))
+            pool = ProcessShardPool(1, store_config=StoreConfig(path=str(tmp_path)))
             restart = pool._restart
 
             def restart_then_die(shard, **kwargs):
